@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-concurrency analyze baseline bench bench-smoke serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke profile trace-demo ci
+.PHONY: test lint lint-concurrency analyze baseline bench bench-smoke bench-test serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke profile trace-demo ci
 
 # Extra pytest arguments ride in PYTEST_FLAGS (CI passes --junitxml=...).
 test:
@@ -35,6 +35,12 @@ bench:
 # fan-out twin vs its serial scenario), writes nothing.
 bench-smoke:
 	$(PYTHON) -m repro.obs.bench --smoke
+
+# The repository benchmark's own tests (bench/test_bench.py): every
+# workload end to end at test-only reduced sizes, the oracle gate and
+# compare.py's verdicts. About 40 s; tier-1 testpaths cover tests/ only.
+bench-test:
+	$(PYTHON) -m pytest bench -q
 
 # Serving-tier load check: ~2s of seeded open-loop traffic through the
 # micro-batching service; fails on any errored request, on batch
@@ -95,4 +101,4 @@ trace-demo:
 # Everything CI gates on, in the same order as .github/workflows/ci.yml
 # runs its jobs; tests/test_ci_consistency.py cross-checks the two so
 # they cannot drift.
-ci: test analyze lint-concurrency bench-smoke serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke
+ci: test analyze lint-concurrency bench-smoke bench-test serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke

@@ -24,8 +24,12 @@ prose, which speaks of the sphere-inscribed cube):
   test enabled, because valid neighbors may lie between the inscribed
   cube and the sphere.
 
-Box point-counts use the grid's 3-D summed-area table, so each growth
-iteration is O(active queries) regardless of megacell volume.
+Each growth iteration counts the boxes of all active queries in one
+batched :meth:`UniformGrid.count_in_boxes` call. Fine grids, which
+every benchmark workload's megacell grid is, take slab-restricted
+direct counting: each chunk of boxes is tested only against the points
+in its slab along the longest grid axis. Coarse grids take the 3-D
+summed-area table, O(1) per box regardless of megacell volume.
 """
 
 from __future__ import annotations

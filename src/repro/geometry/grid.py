@@ -11,9 +11,12 @@ Binning uses a counting sort: points are bucketed by flattened cell id
 and stored contiguously, with ``cell_start/cell_count`` CSR-style
 offsets, so "all points in cell c" is a contiguous slice. The CSR
 arrays (and the summed-area table) are O(total cells) to build, which
-dwarfs O(points) work on fine grids — both are built lazily, and
-box counting falls back to direct per-point dominance tests when the
-grid is much finer than the point set, so megacell partitioning never
+dwarfs O(points) work on fine grids — both are built lazily. Box
+counting uses the summed-area table only on coarse grids (at most
+``_DIRECT_CELLS_PER_POINT`` cells per point); finer grids — the
+megacell grids of every benchmark workload — answer it by direct
+per-point dominance tests restricted to each chunk of boxes' slab of
+points along the longest grid axis, so megacell partitioning never
 pays for cells nobody occupies.
 """
 
@@ -28,6 +31,10 @@ from repro.geometry.sat import SummedAreaTable3D
 _DIRECT_CELLS_PER_POINT = 64
 #: cap on (boxes x points) comparison elements materialized at once
 _DIRECT_CHUNK_ELEMS = 1 << 22
+#: boxes per direct-count chunk before the element cap halves it; the
+#: chunk's slab widens with every box it holds, so small chunks keep
+#: each box's comparisons close to its own slab
+_SLAB_CHUNK_BOXES = 32
 
 
 class UniformGrid:
@@ -184,11 +191,13 @@ class UniformGrid:
 
         ``lo3``/``hi3`` are ``(M, 3)`` integer corner coordinates
         (inclusive on both ends) with the same clipping semantics as
-        :meth:`SummedAreaTable3D.box_sums` — the kernel that makes
-        megacell growth cheap. Grids much finer than the point set
-        (where the O(total cells) table would dominate) are answered by
-        direct per-point dominance tests instead; both paths return the
-        exact same counts (asserted in ``tests/test_geometry_grid.py``).
+        :meth:`SummedAreaTable3D.box_sums`. Coarse grids (at most
+        ``_DIRECT_CELLS_PER_POINT`` cells per point) use that table.
+        Finer grids, where the O(total cells) table would dominate, take
+        :meth:`_count_in_boxes_direct`: slab-restricted per-point
+        dominance tests. Both paths return the exact same counts
+        (``tests/test_geometry_grid.py`` checks the direct path against
+        the table and a brute per-point count on a fine grid).
         """
         if self._sat is None and (
             self.n_cells > _DIRECT_CELLS_PER_POINT * len(self.points)
@@ -197,10 +206,15 @@ class UniformGrid:
         return self.sat.box_sums(lo3, hi3)
 
     def _count_in_boxes_direct(self, lo3: np.ndarray, hi3: np.ndarray) -> np.ndarray:
-        """SAT-free box counts: test every point's cell against each box.
+        """SAT-free box counts: per-point dominance tests within a slab.
 
-        O(boxes x points) comparisons, chunked to bound peak memory —
-        cheap whenever points are scarce relative to cells. Clipping
+        Points are sorted once per grid by their cell on the longest
+        grid axis, and boxes by their low corner on it, so a chunk of
+        neighbouring boxes is tested only against the contiguous run of
+        points whose slab coordinate falls inside the chunk's span. The
+        chunk is halved until boxes x slab points fits in
+        ``_DIRECT_CHUNK_ELEMS``, so the worst case (every box spanning
+        the whole axis) is the plain O(boxes x points) scan. Clipping
         replicates :meth:`SummedAreaTable3D.box_sums` exactly (including
         boxes emptied or displaced by the clip).
         """
@@ -212,24 +226,39 @@ class UniformGrid:
             hi3 = hi3[None, :]
         lo = np.clip(lo3, 0, self.res - 1).astype(np.int32)
         hi = np.clip(hi3, -1, self.res - 1).astype(np.int32)
+        axis = int(np.argmax(self.res))
         if self._cells_t is None:
-            pc = self._point_cells.astype(np.int32)
+            order = np.argsort(self._point_cells[:, axis], kind="stable")
+            pc = self._point_cells[order].astype(np.int32)
             self._cells_t = tuple(
-                np.ascontiguousarray(pc[:, axis]) for axis in range(3)
+                np.ascontiguousarray(pc[:, a]) for a in range(3)
             )
         cx, cy, cz = self._cells_t
-        m = len(lo)
-        out = np.empty(m, dtype=np.int64)
-        chunk = max(int(_DIRECT_CHUNK_ELEMS // max(len(cx), 1)), 1)
-        for s in range(0, m, chunk):
-            e = min(s + chunk, m)
+        out = np.zeros(len(lo), dtype=np.int64)
+        # boxes emptied by the clip count 0 and never reach the scan
+        boxes = np.flatnonzero((hi >= lo).all(axis=1))
+        boxes = boxes[np.argsort(lo[boxes, axis], kind="stable")]
+        keys = self._cells_t[axis]
+        first = np.searchsorted(keys, lo[boxes, axis], side="left")
+        last = np.searchsorted(keys, hi[boxes, axis], side="right")
+        n = len(boxes)
+        s = 0
+        while s < n:
+            e = min(s + _SLAB_CHUNK_BOXES, n)
+            p0 = first[s]  # boxes are sorted by lo: the chunk's min
+            p1 = last[s:e].max()
+            while (e - s) * (p1 - p0) > _DIRECT_CHUNK_ELEMS and e - s > 1:
+                e = s + (e - s) // 2
+                p1 = last[s:e].max()
+            b = boxes[s:e]
+            bx, by, bz = cx[p0:p1], cy[p0:p1], cz[p0:p1]
             # per-axis column comparisons (no (chunk, N, 3) broadcast):
             # ~3x less element work, and int32 halves the traffic
-            ok = (cx >= lo[s:e, 0, None]) & (cx <= hi[s:e, 0, None])
-            ok &= cy >= lo[s:e, 1, None]
-            ok &= cy <= hi[s:e, 1, None]
-            ok &= cz >= lo[s:e, 2, None]
-            ok &= cz <= hi[s:e, 2, None]
-            out[s:e] = np.count_nonzero(ok, axis=1)
-        out = np.where((hi < lo).any(axis=1), 0, out)
+            ok = (bx >= lo[b, 0, None]) & (bx <= hi[b, 0, None])
+            ok &= by >= lo[b, 1, None]
+            ok &= by <= hi[b, 1, None]
+            ok &= bz >= lo[b, 2, None]
+            ok &= bz <= hi[b, 2, None]
+            out[b] = np.count_nonzero(ok, axis=1)
+            s = e
         return out[0] if single else out

@@ -4,8 +4,10 @@ Megacell growth (Section 5.1) repeatedly asks "how many points fall in
 this axis-aligned box of grid cells?". Answering each such query from
 raw cell counts costs O(box volume); with a summed-area table it is an
 O(1) inclusion-exclusion over 8 corners, and the 8 gathers vectorize
-across *all* queries simultaneously — the key to keeping partitioning
-cheap ("lightweight" in the paper's words) on a Python substrate.
+across *all* queries simultaneously. The table costs O(total cells) to
+build, so :meth:`UniformGrid.count_in_boxes` uses it only on coarse
+grids; finer grids (every benchmark workload's megacell grid) count by
+slab-restricted direct tests instead.
 """
 
 from __future__ import annotations

@@ -77,6 +77,62 @@ def test_total_growth_steps_counted():
     assert mc.total_growth_steps >= len(q)
 
 
+def _brute_megacells(points, queries, radius, k, grid):
+    """Per-query growth, one box at a time, on the same grid."""
+    cell = grid.cell_size
+    max_level = int(np.floor(radius / (np.sqrt(3) * cell))) - 1
+    coords = grid.cell_coords(points)
+    top = grid.lo + grid.res * cell
+    n = len(queries)
+    level = np.zeros(n, dtype=np.int64)
+    capped = np.zeros(n, dtype=bool)
+    count = np.zeros(n, dtype=np.int64)
+    steps = 0
+    for i, q in enumerate(queries):
+        if (q < grid.lo).any() or (q > top).any():
+            capped[i] = True
+            continue
+        c = grid.cell_coords(q[None, :])[0]
+        for g in range(max_level + 1):
+            lo = np.clip(c - g, 0, grid.res - 1)
+            hi = np.clip(c + g, -1, grid.res - 1)
+            inside = np.logical_and(coords >= lo, coords <= hi).all(axis=1)
+            level[i], count[i] = g, inside.sum()
+            steps += 1
+            if count[i] >= k:
+                break
+        else:
+            capped[i] = True
+    return level, capped, count, steps
+
+
+def test_fine_grid_megacells_match_brute_growth():
+    """Clustered cloud on a > 64 cells/point grid (the direct count path).
+
+    ``total_growth_steps`` is the modeled megacell charge's input, so it
+    must match the reference exactly, not just the per-query results.
+    """
+    rng = np.random.default_rng(21)
+    centers = rng.random((4, 3)) * [2.0, 1.0, 0.4]
+    clusters = centers[rng.integers(0, 4, 500)] + rng.normal(0, 0.01, (500, 3))
+    pts = np.vstack([clusters, rng.random((100, 3)) * [2.0, 1.0, 0.4]])
+    queries = np.vstack([
+        pts[rng.choice(len(pts), 80, replace=False)],
+        rng.random((40, 3)) * [2.0, 1.0, 0.4],
+        [[-1.0, 0.5, 0.2], [3.0, 0.5, 0.2]],  # outside: capped outright
+    ])
+    mc = compute_megacells(pts, queries, radius=0.2, k=8)
+    assert mc.grid.n_cells > 64 * len(pts) and mc.grid._sat is None
+    level, capped, count, steps = _brute_megacells(
+        pts, queries, 0.2, 8, mc.grid
+    )
+    np.testing.assert_array_equal(mc.level, level)
+    np.testing.assert_array_equal(mc.capped, capped)
+    np.testing.assert_array_equal(mc.count, count)
+    assert mc.total_growth_steps == steps
+    assert capped.any() and (~capped).any() and (level > 0).any()
+
+
 def test_knn_aabb_width_modes():
     assert knn_aabb_width(1.0, "equiv_volume", 0, 1.0) == pytest.approx(
         EQUIV_VOLUME_COEFF
