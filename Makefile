@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-concurrency analyze baseline bench bench-smoke bench-test serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke profile trace-demo ci
+.PHONY: test lint lint-concurrency analyze baseline bench bench-smoke bench-check bench-test serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke profile trace-demo ci
 
 # Extra pytest arguments ride in PYTEST_FLAGS (CI passes --junitxml=...).
 test:
@@ -31,10 +31,18 @@ baseline:
 bench:
 	$(PYTHON) -m repro.obs.bench
 
-# CI subset: counter-exact comparison only (including the parallel
-# fan-out twin vs its serial scenario), writes nothing.
+# Quick local subset: counter-exact comparison only (including the
+# parallel fan-out twin vs its serial scenario), writes nothing.
 bench-smoke:
 	$(PYTHON) -m repro.obs.bench --smoke
+
+# CI gate: the same counter-exact comparison over every pinned
+# scenario (wall-clock checks off, writes nothing). About 10 s; it
+# covers the range and downstream-workload scenarios the smoke subset
+# leaves out, where mid-leaf Any-Hit terminations and bulk accepts
+# are densest.
+bench-check:
+	$(PYTHON) -m repro.obs.bench --no-wall --no-write
 
 # The repository benchmark's own tests (bench/test_bench.py): every
 # workload end to end at test-only reduced sizes, the oracle gate and
@@ -101,4 +109,4 @@ trace-demo:
 # Everything CI gates on, in the same order as .github/workflows/ci.yml
 # runs its jobs; tests/test_ci_consistency.py cross-checks the two so
 # they cannot drift.
-ci: test analyze lint-concurrency bench-smoke bench-test serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke
+ci: test analyze lint-concurrency bench-check bench-test serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke

@@ -155,6 +155,20 @@ def find_call_method(cls: ast.ClassDef) -> ast.FunctionDef | None:
     return None
 
 
+#: methods through which the traversal hands a shader its pairs: the
+#: plain per-batch ``__call__`` and the fused per-round ``flat_hits``
+SHADER_ENTRY_POINTS = ("__call__", "flat_hits")
+
+
+def find_entry_methods(cls: ast.ClassDef) -> list[ast.FunctionDef]:
+    """The shader's entry points defined in ``cls``'s body."""
+    return [
+        item for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and item.name in SHADER_ENTRY_POINTS
+    ]
+
+
 def is_shader_class(cls: ast.ClassDef) -> bool:
     """A class participates in the IS shader protocol.
 

@@ -16,6 +16,7 @@ from repro.analysis.rules import (
     Rule,
     call_params,
     find_call_method,
+    find_entry_methods,
     is_shader_class,
     register,
     root_name,
@@ -87,33 +88,36 @@ class ShaderGeometryMutationRule(Rule):
             return []
         out = []
         for cls in _shader_classes(ctx.tree):
-            call = find_call_method(cls)
-            if call is None:
-                continue
-            for node in ast.walk(call):
-                targets: list[ast.AST] = []
-                if isinstance(node, ast.Assign):
-                    targets = node.targets
-                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [node.target]
-                for t in targets:
-                    # Writes through plain local names are fine; writes
-                    # into attributes/subscripts rooted at geometry
-                    # state are not.
-                    if isinstance(t, ast.Name):
-                        continue
-                    root = root_name(t)
-                    if root in _GEOMETRY_NAMES:
-                        out.append(
-                            self.finding(
-                                ctx,
-                                t,
-                                f"{cls.name}.__call__ writes to geometry "
-                                f"state {root!r}; the GAS/BVH is shared "
-                                "across rays and launches and must be "
-                                "immutable during traversal",
-                            )
+            for entry in find_entry_methods(cls):
+                out.extend(self._check_entry(ctx, cls, entry))
+        return out
+
+    def _check_entry(self, ctx, cls, entry) -> list[Finding]:
+        out = []
+        for node in ast.walk(entry):
+            targets: list[ast.AST] = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for t in targets:
+                # Writes through plain local names are fine; writes
+                # into attributes/subscripts rooted at geometry state
+                # are not.
+                if isinstance(t, ast.Name):
+                    continue
+                root = root_name(t)
+                if root in _GEOMETRY_NAMES:
+                    out.append(
+                        self.finding(
+                            ctx,
+                            t,
+                            f"{cls.name}.{entry.name} writes to geometry "
+                            f"state {root!r}; the GAS/BVH is shared "
+                            "across rays and launches and must be "
+                            "immutable during traversal",
                         )
+                    )
         return out
 
 
@@ -149,17 +153,18 @@ class ShaderQueryIdTranslationRule(Rule):
                     or (isinstance(n.value, ast.Name)
                         and n.value.id == "query_ids")
                 )
-                for n in ast.walk(call)
+                for entry in find_entry_methods(cls)
+                for n in ast.walk(entry)
             )
             if not translates:
                 out.append(
                     self.finding(
                         ctx,
                         call,
-                        f"{cls.name} holds a query_ids map but __call__ "
-                        "never subscripts it; ray ids are launch-order "
-                        "indices and must be translated to user query ids "
-                        "before touching per-query state",
+                        f"{cls.name} holds a query_ids map but neither "
+                        "__call__ nor flat_hits subscripts it; ray ids are "
+                        "launch-order indices and must be translated to "
+                        "user query ids before touching per-query state",
                     )
                 )
         return out

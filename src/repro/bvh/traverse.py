@@ -18,12 +18,29 @@ per-iteration deduplication standing in for intra-warp coalescing.
 ``node_transactions``/``prim_transactions`` report the *uncoalesced*
 fetch totals as a tracer-free fallback.
 
-The intersection shader is a callback ``hit_handler(ray_ids, prim_ids)``
-invoked once per round with every (ray, primitive) pair whose
-*primitive* AABB the ray intersects (Fig. 1b: the IS shader is skipped
-for primitives whose AABBs the ray misses — relevant for leaves holding
-several primitives). It may return ray ids to terminate (the Any-Hit
-path used when K neighbors are found).
+Leaf stage. Each round runs one fused pass over every (ray, in-leaf
+slot) pair of the leaves hit that round: one gather, one primitive
+AABB test (the IS shader is skipped for primitives whose AABBs the ray
+misses, Fig. 1b; bulk-accepted leaves skip the test), and one shader
+call on the surviving pairs — ray-major, each ray's pairs in slot order
+(a ray reaches at most one leaf per round). The ``hit_handler`` takes
+one of two forms:
+
+* a shader exposing ``flat_hits(ray_ids, prim_ids)`` consumes the whole
+  round and returns ``None`` or ``(terminated_rays, positions)`` — each
+  ray it ends (the Any-Hit path used when K neighbors are found) and
+  the index of the pair that ended it;
+* a plain callable ``hit_handler(ray_ids, prim_ids) -> terminated_ray_ids
+  | None`` is called once per candidate rank (batch i holds every live
+  ray's i-th pair, so a call sees at most one pair per ray) and may
+  only terminate rays of the batch it was handed.
+
+Either way a terminated ray's round is cut after its terminating slot:
+later slots count as never reached — no fetch, no primitive test, no
+IS call — exactly as if the leaf's slots had run one after another.
+The memory tracer sees the reached pairs slot-major, except for
+shaders that declare ``any_hit = False`` (KNN), whose rounds stream in
+the gathered ray-major order.
 """
 
 from __future__ import annotations
@@ -55,6 +72,105 @@ def _warp_max(values: np.ndarray, warp_size: int) -> np.ndarray:
     return padded.reshape(n_warps, warp_size).max(axis=1)
 
 
+def _both(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """Conjunction of two optional pair masks (``None`` = every pair)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a & b
+
+
+def _per_leaf(
+    pair_leaf: np.ndarray, mask: np.ndarray | None, counts: np.ndarray
+) -> np.ndarray:
+    """Per-leaf-ray tally of the pairs ``mask`` selects (``None`` = all)."""
+    if mask is None:
+        return counts
+    return np.bincount(pair_leaf[mask], minlength=len(counts))
+
+
+def _stable_order(keys: np.ndarray, top: int) -> np.ndarray:
+    """Stable argsort of small non-negative ints ``<= top`` (NumPy
+    radix-sorts 16-bit keys, several times faster than 64-bit ones)."""
+    if top < 1 << 15:
+        keys = keys.astype(np.int16)
+    return np.argsort(keys, kind="stable")
+
+
+def run_ranks(ray_ids: np.ndarray) -> np.ndarray:
+    """Rank of each pair within its ray's run.
+
+    ``ray_ids`` is ray-major — each ray's pairs are contiguous, the
+    order the fused leaf stage hands a round to its shader — so a ray's
+    i-th pair gets rank i.
+    """
+    n = len(ray_ids)
+    idx = np.arange(n, dtype=np.int64)
+    if n == 0:
+        return idx
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(ray_ids[1:], ray_ids[:-1], out=head[1:])
+    return idx - np.maximum.accumulate(np.where(head, idx, 0))
+
+
+def rank_batches(ray_ids: np.ndarray) -> list:
+    """Split ray-major pairs into batches by per-ray rank.
+
+    Batch i holds every ray's i-th pair, in ray order: each batch has at
+    most one pair per ray, and every ray meets its pairs in their
+    original order batch after batch. Batches index ``ray_ids`` — one
+    ``slice(None)`` when no ray has a second pair.
+    """
+    rank = run_ranks(ray_ids)
+    if len(rank) == 0:
+        return []
+    top = int(rank.max())
+    if top == 0:
+        return [slice(None)]
+    order = _stable_order(rank, top)
+    bounds = np.searchsorted(rank[order], np.arange(top + 2))
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _drive_by_rank(hit_handler, ray_ids: np.ndarray, prim_ids: np.ndarray):
+    """Run one fused round through a plain ``(ray_ids, prim_ids)`` callable.
+
+    The handler is called once per :func:`rank_batches` batch, so each
+    call sees at most one pair per ray. Rays it terminates must come
+    from the batch it was handed (``ray_ids`` ascending, as the
+    traversal orders them); they are dropped from later ranks. Returns
+    what a ``flat_hits`` shader would: ``None`` or ``(terminated_rays,
+    positions)``.
+    """
+    pos = np.arange(len(ray_ids), dtype=np.int64)
+    dead = np.empty(0, dtype=np.int64)
+    ends = []
+    for sel in rank_batches(ray_ids):
+        b = pos[sel]
+        if len(dead):
+            b = b[~np.isin(ray_ids[b], dead)]
+            if not len(b):
+                break
+        r = ray_ids[b]
+        term = hit_handler(r, prim_ids[b])
+        if term is None or not len(term):
+            continue
+        term = np.unique(np.asarray(term, dtype=np.int64))
+        at = np.minimum(np.searchsorted(r, term), len(r) - 1)
+        if (r[at] != term).any():
+            raise ValueError(
+                "hit_handler terminated rays outside the batch it was handed"
+            )
+        ends.append(b[at])
+        dead = np.union1d(dead, term)
+    if not ends:
+        return None
+    cut = np.concatenate(ends)
+    return ray_ids[cut], cut
+
+
 @dataclass(frozen=True)
 class PruneSpec:
     """Leaf MBR distance-pruning bounds for one launch.
@@ -81,10 +197,10 @@ class PruneSpec:
     point provably passes both the primitive AABB test
     (``L∞ <= d <= r <= half_width``) and the sphere test, so its pairs
     skip the per-point AABB tests and flow straight to the shader, in
-    the identical slot order (Any-Hit timing, and therefore results,
-    stay bit-identical). ``None`` disables bulk acceptance (KNN — the
-    queue still needs every distance compared — and fast-path bundles,
-    whose inscribed AABBs must keep filtering).
+    their unchanged place in the round (Any-Hit timing, and therefore
+    results, stay bit-identical). ``None`` disables bulk acceptance
+    (KNN — the queue still needs every distance compared — and
+    fast-path bundles, whose inscribed AABBs must keep filtering).
     """
 
     leaf_lo: np.ndarray        # (M, 3) tight leaf point MBRs (leaf rows)
@@ -238,9 +354,10 @@ def trace_batch(
     t_min, t_max:
         Shared ray segment (RTNN: ``[0, 1e-16]``).
     hit_handler:
-        Callable ``(ray_ids, prim_ids) -> terminated_ray_ids | None``.
-        ``prim_ids`` are original primitive indices. Returned rays stop
-        traversing immediately (Any-Hit termination).
+        A ``flat_hits`` shader or a plain callable ``(ray_ids, prim_ids)
+        -> terminated_ray_ids | None`` (see the module docstring).
+        ``prim_ids`` are original primitive indices. Terminated rays
+        stop traversing immediately (Any-Hit termination).
     tracer:
         Optional memory tracer with ``on_node_access(it, ray_ids,
         node_ids)`` / ``on_prim_access(it, ray_ids, prim_ids)`` hooks
@@ -323,6 +440,17 @@ def trace_batch(
     fast_prim_test = (t_max - t_min <= 1e-12) and (t_min >= 0.0)
     # Bulk acceptance only pays when there is a per-point test to skip.
     bulk_t2 = prune.bulk_t2 if prune is not None and test_prims else None
+    fused = hasattr(hit_handler, "flat_hits")
+    # Primitive fetches stream slot-major (the order lockstep lanes
+    # issue a leaf's slots in) unless the shader never ends a ray early.
+    slot_major = getattr(hit_handler, "any_hit", True)
+
+    def prim_test(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+        if fast_prim_test:
+            return backend.points_in_boxes(origins[r], prim_lo[p], prim_hi[p])
+        return ray_aabb_intersect(
+            origins[r], directions[r], t_min, t_max, prim_lo[p], prim_hi[p]
+        )
 
     if max_iterations is None:
         max_iterations = bvh.n_nodes + stack_width + 1
@@ -390,10 +518,10 @@ def trace_batch(
             stack[pi, sp[pi]] = node_left[ni]
             sp[pi] += 1
 
-        # --- leaf handling ------------------------------------------------
+        # --- leaf stage ---------------------------------------------------
         leaf_rays = hit_rays[~internal]
         leaf_nodes = hit_nodes[~internal]
-        flat_bulk = None
+        leaf_bulk = None
         if len(leaf_rays) and prune is not None:
             # MBR distance pruning: bound each (ray, leaf) pair by the
             # squared distance from the query to the leaf's tight point
@@ -415,134 +543,87 @@ def trace_batch(
             if bulk_t2 is not None:
                 bulk = keep & (max_d2 <= bulk_t2)
                 leaves_bulk_accepted += int(bulk.sum())
-                flat_bulk = bulk[keep]
-                if not flat_bulk.any():
-                    flat_bulk = None
+                if bulk.any():
+                    leaf_bulk = bulk[keep]
             leaf_rays = leaf_rays[keep]
             leaf_nodes = leaf_nodes[keep]
         if len(leaf_rays):
+            # Fused round. Expand every (leaf ray, in-leaf slot) pair
+            # once, ray-major with each ray's pairs in slot order (a ray
+            # reaches at most one leaf per round), test them all at
+            # once, and hand the survivors to the shader in one call.
             starts = node_start[leaf_nodes]
             counts = node_end[leaf_nodes] - starts
-            # Flat gather: expand every (leaf ray, in-leaf slot) pair
-            # once, then bucket the pairs by slot. Slot j's bucket holds
-            # exactly the rays whose leaf has > j primitives, in ray
-            # order (the stable sort keeps the ray-major pair order), so
-            # each hit_handler call groups the same pairs the per-slot
-            # masking loop produced. Slots still run sequentially:
-            # Any-Hit terminations in slot j must suppress later slots.
-            pair_ray = np.repeat(
+            pair_leaf = np.repeat(
                 np.arange(len(leaf_rays), dtype=np.int64), counts
             )
-            # prim_order position of each pair: starts[pair_ray] plus the
-            # in-leaf slot, folded into one repeat (starts - cum + counts
-            # is the start minus the pair index where the run begins).
-            pos = np.arange(len(pair_ray), dtype=np.int64)
+            # prim_order position of each pair: starts[pair_leaf] plus
+            # the in-leaf slot, folded into one repeat (starts - cum +
+            # counts is the start minus the pair index where the run
+            # begins).
+            pos = np.arange(len(pair_leaf), dtype=np.int64)
             pos += np.repeat(starts - np.cumsum(counts) + counts, counts)
-            flat_rays = leaf_rays[pair_ray]
+            flat_rays = leaf_rays[pair_leaf]
             flat_prims = prim_order[pos]
-            if flat_bulk is not None:
-                flat_bulk = flat_bulk[pair_ray]
-            if flat_bulk is None and hasattr(hit_handler, "flat_hits"):
-                # Fused leaf stage. A handler exposing ``flat_hits``
-                # never issues Any-Hit terminations (KNN), so no slot
-                # can suppress a later one and the whole round's pairs
-                # collapse into one tracer emission, one containment
-                # test and one shader call. Per-pair work and counters
-                # are identical to the slot loop; only the primitive
-                # access stream's ordering (ray-major instead of
-                # slot-major) differs, which results never observe.
-                r_all = flat_rays
-                p_all = flat_prims
-                if tracer is not None:
-                    tracer.on_prim_access(iteration, r_all, p_all)
-                prim_accesses += len(r_all)
-                if test_prims:
-                    prim_tests += np.bincount(r_all, minlength=n_rays)
-                    if fast_prim_test:
-                        inside = backend.points_in_boxes(
-                            origins[r_all], prim_lo[p_all], prim_hi[p_all]
-                        )
-                    else:
-                        inside = ray_aabb_intersect(
-                            origins[r_all], directions[r_all], t_min, t_max,
-                            prim_lo[p_all], prim_hi[p_all],
-                        )
-                    r_all = r_all[inside]
-                    p_all = p_all[inside]
-                if len(r_all):
-                    is_calls += np.bincount(r_all, minlength=n_rays)
-                    hit_handler.flat_hits(r_all, p_all)
-                keep = sp[act] > 0
-                if not keep.all():
-                    steps[act[~keep]] = iteration + 1
-                    act = act[keep]
-                iteration += 1
-                continue
-            pair_j = pos - starts[pair_ray]
-            slot_order = np.argsort(pair_j, kind="stable")
-            slot_bounds = np.searchsorted(
-                pair_j[slot_order], np.arange(int(counts.max()) + 1)
-            )
-            for j in range(len(slot_bounds) - 1):
-                sel = slot_order[slot_bounds[j]:slot_bounds[j + 1]]
-                r = flat_rays[sel]
-                live = alive[r]
-                if not live.any():
-                    break
-                r = r[live]
-                prims = flat_prims[sel][live]
-                if tracer is not None:
-                    tracer.on_prim_access(iteration, r, prims)
-                prim_accesses += len(r)
-                if test_prims:
-                    bulk = (
-                        flat_bulk[sel][live]
-                        if flat_bulk is not None
-                        else None
+            # Pair masks; None means "every pair".
+            tested = None if leaf_bulk is None else ~leaf_bulk[pair_leaf]
+            inside = None
+            if test_prims:
+                # Bulk-accepted pairs skip the per-point AABB test.
+                if tested is None:
+                    inside = prim_test(flat_rays, flat_prims)
+                else:
+                    inside = ~tested
+                    inside[tested] = prim_test(
+                        flat_rays[tested], flat_prims[tested]
                     )
-                    if bulk is not None and bulk.any():
-                        # Bulk-accepted pairs skip the per-point AABB
-                        # test; tested pairs scatter their verdicts back
-                        # into the pair order so the shader sees the
-                        # exact same sequence it would unpruned.
-                        tested = ~bulk
-                        rt = r[tested]
-                        keep_pairs = bulk.copy()
-                        if len(rt):
-                            prim_tests[rt] += 1
-                            pt = prims[tested]
-                            if fast_prim_test:
-                                keep_pairs[tested] = backend.points_in_boxes(
-                                    origins[rt], prim_lo[pt], prim_hi[pt]
-                                )
-                            else:
-                                keep_pairs[tested] = ray_aabb_intersect(
-                                    origins[rt], directions[rt],
-                                    t_min, t_max,
-                                    prim_lo[pt], prim_hi[pt],
-                                )
-                        r = r[keep_pairs]
-                        prims = prims[keep_pairs]
-                    else:
-                        prim_tests[r] += 1
-                        if fast_prim_test:
-                            inside = backend.points_in_boxes(
-                                origins[r], prim_lo[prims], prim_hi[prims]
-                            )
-                        else:
-                            inside = ray_aabb_intersect(
-                                origins[r], directions[r], t_min, t_max,
-                                prim_lo[prims], prim_hi[prims],
-                            )
-                        r = r[inside]
-                        prims = prims[inside]
-                    if len(r) == 0:
-                        continue
-                is_calls[r] += 1
-                term = hit_handler(r, prims)
-                if term is not None and len(term):
-                    alive[np.asarray(term, dtype=np.int64)] = False
-                    ah_terminations += len(term)
+            hits = None if inside is None else np.flatnonzero(inside)
+            shade_rays = flat_rays if hits is None else flat_rays[hits]
+            cut = None
+            if len(shade_rays):
+                shade_prims = flat_prims if hits is None else flat_prims[hits]
+                if fused:
+                    cut = hit_handler.flat_hits(shade_rays, shade_prims)
+                else:
+                    cut = _drive_by_rank(hit_handler, shade_rays, shade_prims)
+            # Any-Hit cut: a terminated ray reaches only the pairs up to
+            # its terminating slot; later slots are never fetched,
+            # tested or shaded. Unterminated rays reach every pair.
+            slot = None
+            reached = None
+            if cut is not None and len(cut[1]):
+                ends = cut[1] if hits is None else hits[cut[1]]
+                slot = pos - starts[pair_leaf]
+                last = np.full(len(leaf_rays), max_leaf, dtype=np.int64)
+                last[pair_leaf[ends]] = slot[ends]
+                reached = slot <= last[pair_leaf]
+                alive[flat_rays[ends]] = False
+                ah_terminations += len(ends)
+            if tracer is not None:
+                if slot_major:
+                    if slot is None:
+                        slot = pos - starts[pair_leaf]
+                    order = _stable_order(slot, max_leaf)
+                    if reached is not None:
+                        order = order[reached[order]]
+                elif reached is not None:
+                    order = np.flatnonzero(reached)
+                else:
+                    order = slice(None)
+                tracer.on_prim_access(
+                    iteration, flat_rays[order], flat_prims[order]
+                )
+            prim_accesses += (
+                len(flat_rays) if reached is None
+                else int(np.count_nonzero(reached))
+            )
+            if test_prims:
+                prim_tests[leaf_rays] += _per_leaf(
+                    pair_leaf, _both(tested, reached), counts
+                )
+            is_calls[leaf_rays] += _per_leaf(
+                pair_leaf, _both(inside, reached), counts
+            )
 
         keep = alive[act] & (sp[act] > 0)
         if not keep.all():

@@ -32,7 +32,7 @@ from repro.core.expansion import (
 from repro.core.parallel import BundleJob, execute_bundles, graft_spans
 from repro.core.partition import compute_megacells, default_cell_size, make_partitions
 from repro.core.queues import CountAccumulator, KnnQueueBatch, RangeAccumulator
-from repro.core.results import RunReport, SearchResults
+from repro.core.results import RunReport, SearchResults, sum_work_extras
 from repro.core.scheduling import schedule_queries
 from repro.core.shaders import KnnShader, RangeShader
 from repro.geometry.morton import morton_order
@@ -813,9 +813,7 @@ class RTNNEngine:
         launch_costs: list = []
         aabb_widths: list = []
         bundle_sizes: list = []
-        hits = misses = 0
         is_calls = steps = parts = bundles = builds = 0
-        pruned = bulk = 0
         for rep in reports:
             breakdown = breakdown + rep.breakdown
             is_calls += rep.is_calls
@@ -826,30 +824,15 @@ class RTNNEngine:
             launch_costs.extend(rep.extras.get("launch_costs", []))
             aabb_widths.extend(rep.extras.get("aabb_widths", []))
             bundle_sizes.extend(rep.extras.get("bundle_sizes", []))
-            cache = rep.extras.get("gas_cache", {})
-            hits += cache.get("hits", 0)
-            misses += cache.get("misses", 0)
-            prune = rep.extras.get("prune", {})
-            pruned += prune.get("leaves_pruned", 0)
-            bulk += prune.get("leaves_bulk_accepted", 0)
+        work = sum_work_extras(reports)
+        work["gas_cache"]["entries"] = (
+            reports[-1].extras.get("gas_cache", {}).get("entries", 0)
+        )
         extras = {
             "launch_costs": launch_costs,
             "aabb_widths": aabb_widths,
             "bundle_sizes": bundle_sizes,
-            "gas_cache": {
-                "hits": hits,
-                "misses": misses,
-                "entries": reports[-1].extras.get("gas_cache", {}).get(
-                    "entries", 0
-                ),
-            },
-            "prune": {
-                "enabled": reports[-1]
-                .extras.get("prune", {})
-                .get("enabled", False),
-                "leaves_pruned": pruned,
-                "leaves_bulk_accepted": bulk,
-            },
+            **work,
         }
         return RunReport(
             breakdown=breakdown,

@@ -14,10 +14,13 @@ aggregate-only count query built on top of them:
   materialized, and no ray terminates early, so counts are exact and
   never k-capped.
 
-Both process *batches* of (query, candidate) pairs; within one batch a
-query may appear at most once (the lockstep traversal guarantees this:
-one IS call per ray per iteration), which keeps all updates free of
-scatter conflicts.
+All three process *batches* of (query, candidate) pairs. The KNN
+queue takes at most one candidate per query per batch (its shader
+re-batches a round by per-ray rank), which keeps its updates free of
+scatter conflicts. The range accumulator also takes a whole traversal
+round at once: a query's candidates arrive as one contiguous run, each
+tagged with its rank in the run, and the count accumulator tallies any
+batch.
 """
 
 from __future__ import annotations
@@ -109,22 +112,48 @@ class RangeAccumulator:
         self.k = int(k)
         self.idx, self.count, self.d2 = empty_results(n_queries, self.k)
 
-    def insert(self, qids: np.ndarray, pids: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        """Offer one candidate per (unique) query id.
+    def insert(
+        self,
+        qids: np.ndarray,
+        pids: np.ndarray,
+        d2: np.ndarray,
+        rank: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Append candidates in offer order.
 
-        Returns the query ids whose lists just filled up — their rays
-        should terminate (Any-Hit).
+        A query's candidates form one contiguous run and ``rank`` gives
+        each one's position in its run (``None``: every query appears
+        once). Candidate ``rank`` lands in slot ``count + rank`` while
+        that is below ``k``; the rest are dropped, exactly as if the run
+        had been offered one candidate at a time.
+
+        Returns the positions (into the offered batch) of the
+        candidates that filled their query's list — at most one per
+        query; their rays should terminate (Any-Hit).
         """
         if len(qids) == 0:
-            return qids
-        counts = self.count[qids]
-        open_slot = counts < self.k
-        q = qids[open_slot]
-        slots = counts[open_slot]
-        self.idx[q, slots] = pids[open_slot]
-        self.d2[q, slots] = d2[open_slot]
-        self.count[q] = slots + 1
-        return q[slots + 1 == self.k]
+            return np.empty(0, dtype=np.int64)
+        slots = self.count[qids]
+        if rank is not None:
+            slots += rank
+        open_slot = slots < self.k
+        written = None
+        if not open_slot.all():
+            written = np.flatnonzero(open_slot)
+            qids, pids, d2 = qids[written], pids[written], d2[written]
+            slots = slots[written]
+            if not len(qids):
+                return written
+        self.idx[qids, slots] = pids
+        self.d2[qids, slots] = d2
+        # A query's written candidates are a prefix of its run, so the
+        # run's last written one carries the query's new count.
+        run_end = np.empty(len(qids), dtype=bool)
+        run_end[-1] = True
+        np.not_equal(qids[1:], qids[:-1], out=run_end[:-1])
+        self.count[qids[run_end]] = slots[run_end] + 1
+        full = np.flatnonzero(slots + 1 == self.k)
+        return full if written is None else written[full]
 
 
 class CountAccumulator:
@@ -144,8 +173,15 @@ class CountAccumulator:
         self.idx, self.count, self.d2 = empty_results(n_queries, 0)
         self._no_full = np.empty(0, dtype=np.int64)
 
-    def insert(self, qids: np.ndarray, pids: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        """Tally one candidate per (unique) query id; terminate nothing."""
+    def insert(
+        self,
+        qids: np.ndarray,
+        pids: np.ndarray,
+        d2: np.ndarray,
+        rank: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Tally every offered candidate (queries may repeat); terminate
+        nothing."""
         if len(qids):
-            np.add.at(self.count, qids, 1)
+            self.count += np.bincount(qids, minlength=self.n_queries)
         return self._no_full

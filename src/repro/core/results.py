@@ -55,6 +55,28 @@ class RunReport:
         return self.breakdown.total
 
 
+def sum_work_extras(reports) -> dict:
+    """The summed ``gas_cache`` and ``prune`` extras of ``reports``.
+
+    Cache hits/misses, pruned and bulk-accepted leaf pairs add up, and
+    so do cache ``entries`` — the total for reports of *different*
+    engines (shards); a caller folding rounds of one engine replaces it
+    with the latest count. Pruning counts as enabled if any report ran
+    it.
+    """
+    cache = {"hits": 0, "misses": 0, "entries": 0}
+    prune = {"enabled": False, "leaves_pruned": 0, "leaves_bulk_accepted": 0}
+    for rep in reports:
+        got = rep.extras.get("gas_cache", {})
+        for key in cache:
+            cache[key] += got.get(key, 0)
+        got = rep.extras.get("prune", {})
+        prune["enabled"] = prune["enabled"] or bool(got.get("enabled", False))
+        prune["leaves_pruned"] += got.get("leaves_pruned", 0)
+        prune["leaves_bulk_accepted"] += got.get("leaves_bulk_accepted", 0)
+    return {"gas_cache": cache, "prune": prune}
+
+
 @dataclass
 class SearchResults:
     """Neighbors found for a batch of queries.

@@ -1,8 +1,13 @@
 """RTNN's intersection shaders (Listing 1 / Listing 2 / Section 5.1).
 
-Each shader receives batches of (ray, primitive) pairs from the
-traversal engine, converts launch-order ray ids to user query ids via
-the launch's ``query_ids`` map, and updates its accumulator. Distances
+Each shader consumes one traversal round per ``flat_hits`` call: every
+(ray, primitive) pair that passed the primitive test, ray-major with
+each ray's pairs in leaf-slot order. It converts launch-order ray ids
+to user query ids via the launch's ``query_ids`` map, updates its
+accumulator, and returns ``None`` or the rays it ends (Any-Hit) plus
+the position of each one's terminating pair — the traversal drops the
+pairs after it. Calling a shader directly is the plain form of the
+same step: it returns just the terminated ray ids. Distances
 are always *computed* here for result reporting; whether they *cost*
 anything is decided by the launch's :class:`~repro.gpu.costmodel.IsKind`
 (the partitioned range fast path models the sphere test as elided).
@@ -13,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import NUMPY_BACKEND, Backend
+from repro.bvh.traverse import rank_batches, run_ranks
 from repro.core.queues import KnnQueueBatch, RangeAccumulator
 
 
@@ -93,30 +99,45 @@ class RangeShader:
         self.acc = accumulator
         self.r2 = float(radius) * float(radius)
         self.sphere_test = sphere_test
-        self._ray_of_q = np.full(accumulator.n_queries, -1, dtype=np.int64)
         self._dist = _PairDistance(backend)
 
     def __call__(self, ray_ids: np.ndarray, prim_ids: np.ndarray):
+        cut = self.flat_hits(ray_ids, prim_ids)
+        return None if cut is None else cut[0]
+
+    def flat_hits(self, ray_ids: np.ndarray, prim_ids: np.ndarray):
+        """Record one round's accepted candidates; end rays at K.
+
+        Each ray's accepted candidates are ranked in slot order and
+        appended in one accumulator insert; a ray ends at the candidate
+        that fills its list, and the ones after it are never recorded.
+        """
         d2 = self._dist(self.origins, ray_ids, self.points, prim_ids)
+        kept = None
         if self.sphere_test:
             keep = d2 <= self.r2
-            if not keep.any():
-                return None
-            ray_ids, prim_ids, d2 = ray_ids[keep], prim_ids[keep], d2[keep]
-        qids = self.query_ids[ray_ids]
-        self._ray_of_q[qids] = ray_ids
-        full_q = self.acc.insert(qids, prim_ids, d2)
-        if len(full_q):
-            return self._ray_of_q[full_q]
-        return None
+            if not keep.all():
+                kept = np.flatnonzero(keep)
+                if not len(kept):
+                    return None
+                ray_ids, prim_ids, d2 = ray_ids[kept], prim_ids[kept], d2[kept]
+        full = self.acc.insert(
+            self.query_ids[ray_ids], prim_ids, d2, run_ranks(ray_ids)
+        )
+        if not len(full):
+            return None
+        return ray_ids[full], full if kept is None else kept[full]
 
 
 class KnnShader:
     """KNN IS: operate the bounded priority queue; never terminate early.
 
     Finding the K *nearest* requires visiting every enclosing AABB, so
-    unlike range search there is no Any-Hit termination (Section 2.1).
+    unlike range search there is no Any-Hit termination (Section 2.1);
+    ``any_hit = False`` tells the traversal so.
     """
+
+    any_hit = False
 
     def __init__(
         self,
@@ -133,61 +154,34 @@ class KnnShader:
         self._dist = _PairDistance(backend)
 
     def __call__(self, ray_ids: np.ndarray, prim_ids: np.ndarray):
-        d2 = self._dist(self.origins, ray_ids, self.points, prim_ids)
-        self.queue.insert(self.query_ids[ray_ids], prim_ids, d2)
-        return None
+        return self.flat_hits(ray_ids, prim_ids)
 
     def flat_hits(self, ray_ids: np.ndarray, prim_ids: np.ndarray) -> None:
-        """Consume one traversal round's pairs in a single call.
+        """Offer one round's candidates to the queues.
 
-        ``ray_ids`` is ray-major: each ray's candidates form one
-        contiguous run, in leaf order (the traversal's flat gather
-        produces exactly this). Distances are evaluated once for the
-        whole round, candidates beyond the queue radius are dropped up
-        front (the queue would drop them anyway), and the survivors are
-        re-batched by *per-ray rank* — a ray's i-th surviving candidate
-        goes into batch i. Each batch therefore holds at most one
-        candidate per query, and every query still receives its
-        candidates in the original order, so the queue passes through
-        the identical sequence of states as the per-slot loop: results
-        are bit-identical, with far fewer insert calls (the batch count
-        is the *max* surviving candidates of any one ray, not the leaf
-        size).
-
-        Exposing this method is also the traversal's cue that the
-        shader never issues Any-Hit terminations, which is what makes
-        batching a whole round sound.
+        Distances are evaluated once for the whole round, candidates
+        beyond the queue radius are dropped up front (the queue would
+        drop them anyway), and the survivors are re-batched by *per-ray
+        rank* (:func:`~repro.bvh.traverse.rank_batches`). Each batch
+        therefore holds at most one candidate per query, and every query
+        still receives its candidates in slot order, so the queue passes
+        through the identical sequence of states as one insert per slot:
+        results are bit-identical, with far fewer insert calls (the
+        batch count is the *max* surviving candidates of any one ray,
+        not the leaf size).
         """
         d2 = self._dist(self.origins, ray_ids, self.points, prim_ids)
         keep = d2 <= self.queue.r2
         if not keep.all():
             if not keep.any():
-                return
+                return None
             ray_ids = ray_ids[keep]
             prim_ids = prim_ids[keep]
             d2 = d2[keep]
         qids = self.query_ids[ray_ids]
-        n = len(ray_ids)
-        run_head = np.empty(n, dtype=bool)
-        run_head[0] = True
-        np.not_equal(ray_ids[1:], ray_ids[:-1], out=run_head[1:])
-        if run_head.all():  # every ray kept a single candidate
-            self.queue.insert(qids, prim_ids, d2)
-            return
-        run_starts = np.flatnonzero(run_head)
-        run_lens = np.empty(len(run_starts), dtype=np.int64)
-        np.subtract(run_starts[1:], run_starts[:-1], out=run_lens[:-1])
-        run_lens[-1] = n - run_starts[-1]
-        rank = np.arange(n, dtype=np.int64)
-        rank -= np.repeat(run_starts, run_lens)
-        order = rank.argsort(kind="stable")
-        sorted_rank = rank[order]
-        bounds = sorted_rank.searchsorted(
-            np.arange(int(sorted_rank[-1]) + 2)
-        )
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            sel = order[a:b]
+        for sel in rank_batches(ray_ids):
             self.queue.insert(qids[sel], prim_ids[sel], d2[sel])
+        return None
 
 
 class FirstHitShader:
@@ -203,5 +197,11 @@ class FirstHitShader:
         self.first_hit = np.full(n_queries, -1, dtype=np.int64)
 
     def __call__(self, ray_ids: np.ndarray, prim_ids: np.ndarray):
-        self.first_hit[self.query_ids[ray_ids]] = prim_ids
-        return ray_ids
+        return self.flat_hits(ray_ids, prim_ids)[0]
+
+    def flat_hits(self, ray_ids: np.ndarray, prim_ids: np.ndarray):
+        """Record each ray's first candidate and end the ray there."""
+        first = np.flatnonzero(run_ranks(ray_ids) == 0)
+        rays = ray_ids[first]
+        self.first_hit[self.query_ids[rays]] = prim_ids[first]
+        return rays, first

@@ -1,10 +1,13 @@
 """Shader interface for the simulated pipeline.
 
 A shader is any callable ``(ray_ids, prim_ids) -> terminated | None``
-invoked once per (ray, primitive-AABB-hit) pair batch. ``ray_ids`` are
-launch-order indices; shaders translate them to user query ids through
-the launch's ``query_ids`` mapping. Returning an array of ray ids
-terminates those rays (Any-Hit termination).
+invoked on batches of (ray, primitive-AABB-hit) pairs holding at most
+one pair per ray. ``ray_ids`` are launch-order indices; shaders
+translate them to user query ids through the launch's ``query_ids``
+mapping. Returning an array of ray ids (from the batch) terminates
+those rays (Any-Hit termination). A shader may also expose
+``flat_hits`` to take a whole traversal round in one call — see
+:mod:`repro.bvh.traverse` for both forms.
 
 The concrete neighbor-search shaders live in :mod:`repro.core.shaders`;
 this module defines the protocol plus a trivial counting shader used by

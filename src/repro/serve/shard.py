@@ -73,7 +73,12 @@ from repro.core.expansion import (
     seed_radius,
 )
 from repro.core.partition import SpatialShard, make_spatial_shards
-from repro.core.results import RunReport, SearchResults, empty_results
+from repro.core.results import (
+    RunReport,
+    SearchResults,
+    empty_results,
+    sum_work_extras,
+)
 from repro.gpu.device import DeviceSpec, RTX_2080
 from repro.metrics.breakdown import Breakdown
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -595,6 +600,10 @@ class ShardedEngine:
             failovers += sh["failovers"]
             for li, gi in enumerate(ri["live"]):
                 degraded[gi] = degraded[gi] or sh["degraded_groups"][li]
+        work = sum_work_extras([ri["report"] for ri in rounds_info])
+        work["gas_cache"]["entries"] = (
+            rounds_info[-1]["report"].extras["gas_cache"]["entries"]
+        )
         return RunReport(
             breakdown=breakdown,
             is_calls=is_calls,
@@ -614,6 +623,7 @@ class ShardedEngine:
                     "group_sizes": [len(g) for g in groups],
                     "makespan_s": self.modeled_makespan_s,
                 },
+                **work,
             },
         )
 
@@ -899,10 +909,12 @@ class ShardedEngine:
         steps = 0
         builds = 0
         exhausted = 0
-        for call in calls:
-            rep = outcomes[call.shard_id].report
-            if rep is None:          # brute fallback: unmodeled, exact
-                continue
+        # brute fallbacks carry no report: unmodeled, exact
+        reports = [
+            outcomes[call.shard_id].report for call in calls
+            if outcomes[call.shard_id].report is not None
+        ]
+        for rep in reports:
             breakdown = breakdown + rep.breakdown
             is_calls += rep.is_calls
             steps += rep.traversal_steps
@@ -910,7 +922,7 @@ class ShardedEngine:
             exhausted += rep.extras.get("budget", {}).get(
                 "exhausted_queries", 0
             )
-        extras: dict = {}
+        extras = sum_work_extras(reports)
         if budget is not None:
             # A boundary query fanned out to several shards may be
             # counted exhausted once per shard; dividing by the true

@@ -114,6 +114,34 @@ def test_shd003_fires_when_ray_ids_used_untranslated():
     assert "SHD003" in ids(findings)
 
 
+FUSED_SHADER = """
+    class FusedShader:
+        def __init__(self, points, query_ids, acc):
+            self.points = points
+            self.query_ids = query_ids
+            self.acc = acc
+
+        def __call__(self, ray_ids, prim_ids):
+            cut = self.flat_hits(ray_ids, prim_ids)
+            return None if cut is None else cut[0]
+
+        def flat_hits(self, ray_ids, prim_ids):
+            {body}
+            return None
+"""
+
+
+def test_shd_rules_follow_the_fused_entry_point():
+    """A shader whose ``__call__`` delegates to ``flat_hits`` is held to
+    the contract in ``flat_hits``."""
+    translated = "self.acc.insert(self.query_ids[ray_ids], prim_ids)"
+    assert ids(run(FUSED_SHADER.format(body=translated))) == []
+    untranslated = "self.acc.insert(ray_ids, prim_ids)"
+    assert "SHD003" in ids(run(FUSED_SHADER.format(body=untranslated)))
+    mutating = "self.points[prim_ids] = 0.0; " + translated
+    assert "SHD002" in ids(run(FUSED_SHADER.format(body=mutating)))
+
+
 def test_shd003_silent_without_query_state():
     findings = run(
         """

@@ -272,8 +272,9 @@ def test_ci_workflow_parses_and_runs_all_gates():
     bench_cmds = " ".join(
         step.get("run", "") for step in jobs["bench"]["steps"]
     )
-    # CI goes through the Makefile target so local `make bench-smoke`
-    # and the CI gate can never drift apart.
-    assert "make bench-smoke" in bench_cmds
+    # CI goes through the Makefile target so local `make bench-check`
+    # and the CI gate can never drift apart; the gate compares every
+    # pinned scenario, not the smoke subset.
+    assert "make bench-check" in bench_cmds
     makefile = (path.parent.parent.parent / "Makefile").read_text()
-    assert "repro.obs.bench --smoke" in makefile
+    assert "repro.obs.bench --no-wall --no-write" in makefile

@@ -410,3 +410,39 @@ def test_shard_spot_check_passes(world):
         shard_spot_check(points, spec, shards=4, n_requests=2)
     )
     assert checked == 2 * 2 * 2  # kinds x configs x requests
+
+
+@pytest.mark.parametrize("kill_one", [False, True])
+def test_sharded_report_sums_prune_and_cache_extras(world, monkeypatch, kill_one):
+    """The fused sharded report carries the ``prune`` and ``gas_cache``
+    extras summed over the modeled (non-brute) shard sub-reports."""
+    points, queries = world
+    sh = ShardedEngine(points, n_shards=4, replication=1)
+    if kill_one:
+        sh.workers[0].alive = False  # its shards are served brute
+    outcomes = []
+    execute = ShardedEngine._execute
+
+    def spy(self, *args, **kwargs):
+        outcomes.append(execute(self, *args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(ShardedEngine, "_execute", spy)
+    for _ in range(2):  # the second pass hits every shard's GAS cache
+        outcomes.clear()
+        res = sh.range_search(queries, radius=RADIUS, k=K_RANGE)
+        subs = [r.report for r in outcomes[0].values() if r.report is not None]
+        assert len(subs) == 4 - res.report.extras["shard"]["brute_shards"]
+        for extra, key in [
+            ("prune", "leaves_pruned"),
+            ("prune", "leaves_bulk_accepted"),
+            ("gas_cache", "hits"),
+            ("gas_cache", "misses"),
+            ("gas_cache", "entries"),
+        ]:
+            want = sum(r.extras[extra][key] for r in subs)
+            assert res.report.extras[extra][key] == want, (extra, key)
+        assert res.report.extras["prune"]["enabled"]
+    assert res.report.extras["prune"]["leaves_pruned"] > 0
+    assert res.report.extras["prune"]["leaves_bulk_accepted"] > 0
+    assert res.report.extras["gas_cache"]["hits"] > 0
