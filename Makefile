@@ -32,7 +32,7 @@ bench:
 	$(PYTHON) -m repro.obs.bench
 
 # Quick local subset: counter-exact comparison only (including the
-# parallel fan-out twin vs its serial scenario), writes nothing.
+# sharded twin vs its single-engine scenario), writes nothing.
 bench-smoke:
 	$(PYTHON) -m repro.obs.bench --smoke
 

@@ -1,7 +1,7 @@
 """DET — hidden-nondeterminism rules for engine and serving paths.
 
 RTNN's Fig. 12/14 comparisons (and every bit-identity gate in this
-repo: fused-batch vs solo, parallel fan-out vs serial, warm cache vs
+repo: fused-batch vs solo, sharded vs single engine, warm cache vs
 cold) rest on runs being exactly replayable. These rules catch the
 four ways nondeterminism leaks in: unseeded randomness, wall-clock
 values escaping into data, iteration over unordered containers, and
@@ -387,9 +387,10 @@ class CompletionOrderRule(ProjectRule):
     OS scheduler finished them — appending or accumulating in that
     order bakes a race into the output (float addition is not
     commutative-associative in the bits). Either consume futures in
-    submission order (``[f.result() for f in futures]``, what
-    ``repro.core.parallel.execute_bundles`` does) or re-merge by an
-    explicit index so the result layout is completion-independent.
+    submission order (``[f.result() for f in futures]``) or re-merge
+    by an explicit index so the result layout is completion-independent.
+    The engine and the shard tier launch on the calling thread; this
+    rule keeps any future pool honest.
 
     Bad::
 

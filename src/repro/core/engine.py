@@ -26,10 +26,11 @@ from repro.core.expansion import (
     DEFAULT_POLICY,
     ExpansionPolicy,
     cover_radius,
+    reject_step_budget,
     run_expansion,
     seed_radius,
+    true_knn_extras,
 )
-from repro.core.parallel import BundleJob, execute_bundles, graft_spans
 from repro.core.partition import compute_megacells, default_cell_size, make_partitions
 from repro.core.queues import CountAccumulator, KnnQueueBatch, RangeAccumulator
 from repro.core.results import RunReport, SearchResults, sum_work_extras
@@ -40,7 +41,7 @@ from repro.geometry.ray import RayBatch, DEFAULT_DIRECTION, SHORT_RAY_TMAX
 from repro.gpu.costmodel import IsKind
 from repro.gpu.device import DeviceSpec, RTX_2080
 from repro.metrics.breakdown import Breakdown
-from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optix.gas import build_gas, refit_gas
 from repro.optix.pipeline import Pipeline
 from repro.utils.validate import as_points, check_positive, check_positive_int
@@ -84,12 +85,6 @@ class RTNNConfig:
     aabb_shrink:
         Section-8 approximation: scale uncapped partitions' AABB widths
         below the exact requirement (< 1 trades recall for speed).
-    parallel_bundles:
-        Fan independent per-bundle launches out over this many worker
-        threads (``None`` = serial, the default). Bundles own disjoint
-        query ids and GASes are resolved serially up front, so results,
-        counters, breakdown charges, and recorded spans are identical
-        to serial execution — only wall time changes.
     leaf_prune:
         Leaf MBR distance pruning (on by default): skip hit leaves the
         query provably cannot accept points from, bulk-accept leaves
@@ -119,7 +114,6 @@ class RTNNConfig:
     t_max: float = SHORT_RAY_TMAX
     leaf_size: int = 4
     aabb_shrink: float = 1.0
-    parallel_bundles: int | None = None
     leaf_prune: bool = True
     step_budget: int | None = None
     backend: str = "numpy"
@@ -302,12 +296,9 @@ class RTNNEngine:
                 f"kind must be 'range', 'knn' or 'true_knn', got {kind!r}"
             )
         if kind == "true_knn":
-            if budget is not None:
-                raise ValueError(
-                    "true_knn is incompatible with a step budget: its "
-                    "termination test requires exact bounded rounds"
-                )
-            return self._true_knn_groups(list(query_groups), radius, k)
+            return self._true_knn_groups(
+                list(query_groups), radius, k, budget=budget
+            )
         return self._run_groups(
             kind, list(query_groups), radius, k, budget=budget
         )
@@ -430,8 +421,6 @@ class RTNNEngine:
         radius = check_positive(radius, "radius")
         k = check_positive_int(k, "k")
         cfg = self.config
-        if cfg.parallel_bundles is not None:
-            check_positive_int(cfg.parallel_bundles, "parallel_bundles")
         step_budget = budget if budget is not None else cfg.step_budget
         if step_budget is not None:
             step_budget = check_positive_int(step_budget, "step_budget")
@@ -499,7 +488,7 @@ class RTNNEngine:
         cache_hits = 0
         cache_misses = 0
 
-        def gas_for(width: float, tracer: Tracer | None = None):
+        def gas_for(width: float):
             nonlocal cache_hits, cache_misses
             key = self._gas_key(width / 2.0)
             gas = gases.get(key)
@@ -514,7 +503,7 @@ class RTNNEngine:
                     self.cost_model,
                     leaf_size=cfg.leaf_size,
                     order=self._point_order,
-                    tracer=tracer if tracer is not None else self.tracer,
+                    tracer=self.tracer,
                 )
                 self.gas_cache.insert(key, gas)
                 breakdown.bvh += gas.build_time
@@ -560,84 +549,37 @@ class RTNNEngine:
         exhausted_q = np.zeros(n_q, dtype=bool)
         launches = []
 
-        def absorb(launch):
-            """Fold one launch into the run totals (always bundle order)."""
-            nonlocal total_is, total_steps, hit_w, l1_acc, l2_acc
-            nonlocal occ_w, occ_acc, leaves_pruned, leaves_bulk
-            leaves_pruned += launch.trace.leaves_pruned
-            leaves_bulk += launch.trace.leaves_bulk_accepted
-            launches.append(launch)
-            breakdown.search += launch.modeled_time
-            total_is += launch.trace.total_is_calls
-            total_steps += launch.trace.total_steps
-            tx = (
-                launch.trace.node_transactions
-                + launch.trace.prim_transactions
-            )
-            if launch.l1_hit_rate is not None and tx:
-                hit_w += tx
-                l1_acc += launch.l1_hit_rate * tx
-                l2_acc += launch.l2_hit_rate * tx
-            occ = self.cost_model.occupancy(launch.trace)
-            occ_w += launch.modeled_time
-            occ_acc += occ * launch.modeled_time
-
-        workers = cfg.parallel_bundles or 0
-        if workers > 1 and len(bundles) > 1:
-            # Fan-out: resolve every GAS serially in bundle order (build
-            # spans and breakdown.bvh charges land exactly as in serial
-            # execution), then launch the bundles concurrently and merge
-            # outcomes back in bundle order.
-            jobs = []
-            for i, bundle in enumerate(bundles):
-                build_rec = RecordingTracer() if self.tracer.enabled else None
-                gas = gas_for(
-                    bundle.aabb_width,
-                    tracer=build_rec if build_rec is not None else NULL_TRACER,
-                )
+        for i, bundle in enumerate(bundles):
+            with self.tracer.span(f"bundle[{i}]", phase="traverse") as sp:
+                gas = gas_for(bundle.aabb_width)
                 launch_ids, rays, shader, is_kind = self._launch_args(
                     kind, queries, bundle, global_rank, acc, radius
                 )
-                jobs.append(
-                    BundleJob(
-                        index=i,
-                        gas=gas,
-                        rays=rays,
-                        shader=shader,
-                        is_kind=is_kind,
-                        aabb_width=float(bundle.aabb_width),
-                        prelude_spans=(
-                            build_rec.spans if build_rec is not None else []
-                        ),
-                        step_budget=step_budget,
-                    )
+                launch = self.pipeline.launch(
+                    gas, rays, shader, is_kind, step_budget=step_budget
                 )
-            for outcome in execute_bundles(self.pipeline, jobs, workers):
-                graft_spans(self.tracer, outcome.spans)
-                absorb(outcome.launch)
+                # Launch counters/cost live on the child launch span.
+                sp.add(bundle_queries=len(launch_ids))
+                sp.note(aabb_width=float(bundle.aabb_width))
+                launches.append(launch)
+                breakdown.search += launch.modeled_time
+                trace = launch.trace
+                leaves_pruned += trace.leaves_pruned
+                leaves_bulk += trace.leaves_bulk_accepted
+                total_is += trace.total_is_calls
+                total_steps += trace.total_steps
+                tx = trace.node_transactions + trace.prim_transactions
+                if launch.l1_hit_rate is not None and tx:
+                    hit_w += tx
+                    l1_acc += launch.l1_hit_rate * tx
+                    l2_acc += launch.l2_hit_rate * tx
+                occ = self.cost_model.occupancy(trace)
+                occ_w += launch.modeled_time
+                occ_acc += occ * launch.modeled_time
                 if step_budget is not None:
-                    be = outcome.launch.trace.budget_exhausted
+                    be = trace.budget_exhausted
                     if be is not None and be.any():
-                        qids = jobs[outcome.index].rays.query_ids
-                        exhausted_q[qids[be]] = True
-        else:
-            for i, bundle in enumerate(bundles):
-                with self.tracer.span(f"bundle[{i}]", phase="traverse") as sp:
-                    gas = gas_for(bundle.aabb_width)
-                    launch_ids, rays, shader, is_kind = self._launch_args(
-                        kind, queries, bundle, global_rank, acc, radius
-                    )
-                    launch = self.pipeline.launch(
-                        gas, rays, shader, is_kind, step_budget=step_budget
-                    )
-                    # Launch counters/cost live on the child launch span.
-                    sp.add(bundle_queries=len(launch_ids))
-                    sp.note(aabb_width=float(bundle.aabb_width))
-                    absorb(launch)
-                    if step_budget is not None:
-                        be = launch.trace.budget_exhausted
-                        if be is not None and be.any():
-                            exhausted_q[rays.query_ids[be]] = True
+                        exhausted_q[rays.query_ids[be]] = True
 
         if kind == "knn":
             idx, counts, d2 = acc.finalize()
@@ -719,6 +661,7 @@ class RTNNEngine:
         radius: float | None,
         k: int,
         policy: ExpansionPolicy | None = None,
+        budget: int | None = None,
     ) -> list[SearchResults]:
         """Adaptive-radius exact kNN over one or more query groups.
 
@@ -741,13 +684,8 @@ class RTNNEngine:
         fractions, the seed, and whether the run converged before
         ``policy.max_rounds``).
         """
+        reject_step_budget(budget, self.config.step_budget)
         policy = policy or DEFAULT_POLICY
-        if self.config.step_budget is not None:
-            raise ValueError(
-                "true_knn is incompatible with a step budget: the "
-                "expansion loop's termination test (counts == k after "
-                "an exhaustive round) requires exact bounded rounds"
-            )
         groups = [as_points(g, "queries") for g in groups]
         k = check_positive_int(k, "k")
         if radius is None:
@@ -760,16 +698,7 @@ class RTNNEngine:
             # report tail (zero partitions/bundles, same extras shape)
             # is preserved; all results share that report.
             results = self._run_groups("knn", groups, r0, k)
-            results[0].report.extras["true_knn"] = {
-                "seed_radius": r0,
-                "growth": policy.growth,
-                "rounds": 0,
-                "round_radii": [],
-                "relaunched": [],
-                "satisfied": [],
-                "relaunched_fraction": [],
-                "converged": True,
-            }
+            results[0].report.extras["true_knn"] = true_knn_extras(r0, policy)
             return results
 
         covers = [cover_radius(self.points, g) for g in groups]
@@ -785,11 +714,7 @@ class RTNNEngine:
         report = self._merge_round_reports(
             [ri["report"] for ri in rounds_info]
         )
-        report.extras["true_knn"] = {
-            "seed_radius": r0,
-            "growth": policy.growth,
-            **conv,
-        }
+        report.extras["true_knn"] = true_knn_extras(r0, policy, conv)
         return [
             SearchResults(idx, cnt, d2, report)
             for idx, cnt, d2 in finals

@@ -100,6 +100,41 @@ class ExpansionPolicy:
 DEFAULT_POLICY = ExpansionPolicy()
 
 
+def reject_step_budget(*budgets) -> None:
+    """Refuse true kNN under any step budget (per call or configured).
+
+    The expansion loop's termination test (``counts == k`` after an
+    exhaustive round) needs exact bounded rounds; a budget-truncated
+    round would silently return wrong rows. Every true-kNN entry point
+    of every searcher calls this with its call and config budgets.
+    """
+    if any(b is not None for b in budgets):
+        raise ValueError(
+            "true_knn is incompatible with a step budget: its "
+            "termination test requires exact bounded rounds"
+        )
+
+
+def true_knn_extras(
+    r0: float, policy: ExpansionPolicy, convergence: dict | None = None
+) -> dict:
+    """The ``extras["true_knn"]`` record of one expansion run.
+
+    ``convergence`` is :func:`run_expansion`'s telemetry; ``None``
+    stands for a run over no queries (zero rounds, converged).
+    """
+    if convergence is None:
+        convergence = {
+            "rounds": 0,
+            "round_radii": [],
+            "relaunched": [],
+            "satisfied": [],
+            "relaunched_fraction": [],
+            "converged": True,
+        }
+    return {"seed_radius": r0, "growth": policy.growth, **convergence}
+
+
 def seed_radius(points, k: int, policy: ExpansionPolicy | None = None) -> float:
     """The round-0 radius of the expansion schedule.
 

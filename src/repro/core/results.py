@@ -127,15 +127,11 @@ class SearchResults:
         are already distance-sorted, so for them this is the identity
         whenever no two distinct neighbors tie exactly).
         """
-        rows = np.arange(len(self.indices))[:, None]
-        by_idx = np.argsort(self.indices, axis=1, kind="stable")
-        idx = self.indices[rows, by_idx]
-        d2 = self.sq_distances[rows, by_idx]
-        by_d2 = np.argsort(d2, axis=1, kind="stable")
+        idx, d2 = canonical_sort(self.indices, self.sq_distances)
         return SearchResults(
-            indices=idx[rows, by_d2],
+            indices=idx,
             counts=self.counts.copy(),
-            sq_distances=d2[rows, by_d2],
+            sq_distances=d2,
             report=self.report,
         )
 
@@ -149,6 +145,22 @@ class SearchResults:
             sq_distances=self.sq_distances[rows, order],
             report=self.report,
         )
+
+
+def canonical_sort(
+    indices: np.ndarray, sq_distances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows sorted lexicographically by ``(sq_distance, index)``.
+
+    Two stable row-wise argsorts: sorting by index first, then stably
+    by distance, leaves equal-distance entries in index order.
+    """
+    rows = np.arange(len(indices))[:, None]
+    by_idx = np.argsort(indices, axis=1, kind="stable")
+    idx = indices[rows, by_idx]
+    d2 = sq_distances[rows, by_idx]
+    by_d2 = np.argsort(d2, axis=1, kind="stable")
+    return idx[rows, by_d2], d2[rows, by_d2]
 
 
 def empty_results(n_queries: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

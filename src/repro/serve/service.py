@@ -42,6 +42,7 @@ from repro.baselines.brute import (
     brute_force_range,
     brute_force_true_knn,
 )
+from repro.core.expansion import reject_step_budget
 from repro.core.results import SearchResults
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.serve.batcher import MicroBatch, execute_batch
@@ -297,11 +298,9 @@ class SearchService:
             radius = self.engine.seed_radius(k)
         else:
             radius = check_positive(radius, "radius")
+        if kind == "true_knn":
+            reject_step_budget(budget)
         if budget is not None:
-            if kind == "true_knn":
-                raise ValueError(
-                    "true_knn is incompatible with a step budget"
-                )
             budget = check_positive_int(budget, "budget")
         if not self._running or self._stopping:
             raise ServiceStopped("service is not running")

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,13 +68,16 @@ from repro.core.expansion import (
     DEFAULT_POLICY,
     ExpansionPolicy,
     cover_radius,
+    reject_step_budget,
     run_expansion,
     seed_radius,
+    true_knn_extras,
 )
 from repro.core.partition import SpatialShard, make_spatial_shards
 from repro.core.results import (
     RunReport,
     SearchResults,
+    canonical_sort,
     empty_results,
     sum_work_extras,
 )
@@ -155,12 +157,11 @@ class HashRing:
 class ShardWorker:
     """One engine worker: a private :class:`RTNNEngine` per owned shard.
 
-    Engines (and therefore GAS caches) are built lazily on first use
-    and are touched only from the worker's own execution slot — the
-    scatter loop serializes all of a worker's sub-launches onto one
-    thread per batch — so the class needs no locking. ``busy_s``
-    accumulates the modeled seconds of every sub-launch this worker
-    executed: the worker's position on the modeled clock.
+    Engines (and therefore GAS caches) are built lazily on first use.
+    Every sub-launch runs on the caller's thread (see
+    :meth:`ShardedEngine._execute`), so the class needs no locking.
+    ``busy_s`` accumulates the modeled seconds of every sub-launch this
+    worker executed: the worker's position on the modeled clock.
     """
 
     def __init__(
@@ -450,12 +451,9 @@ class ShardedEngine:
                 f"kind must be 'range', 'knn' or 'true_knn', got {kind!r}"
             )
         if kind == "true_knn":
-            if budget is not None:
-                raise ValueError(
-                    "true_knn is incompatible with a step budget: its "
-                    "termination test requires exact bounded rounds"
-                )
-            return self._true_knn_fused(list(query_groups), radius, k)
+            return self._true_knn_fused(
+                list(query_groups), radius, k, budget=budget
+            )
         groups = [as_points(g, "queries") for g in query_groups]
         radius = check_positive(radius, "radius")
         k = check_positive_int(k, "k")
@@ -513,6 +511,7 @@ class ShardedEngine:
         radius: float | None,
         k: int,
         policy: ExpansionPolicy | None = None,
+        budget: int | None = None,
     ) -> list[SearchResults]:
         """The shared expansion loop with scatter-gather bounded rounds.
 
@@ -525,6 +524,7 @@ class ShardedEngine:
         :meth:`overlap_mask` at that round's radius, so AABB pruning
         re-expands with the ball.
         """
+        reject_step_budget(budget, self.config.step_budget)
         policy = policy or DEFAULT_POLICY
         groups = [as_points(g, "queries") for g in groups]
         k = check_positive_int(k, "k")
@@ -534,16 +534,7 @@ class ShardedEngine:
             r0 = check_positive(radius, "radius")
         if sum(len(g) for g in groups) == 0:
             results = self._fused_pass("knn", groups, r0, k)
-            results[0].report.extras["true_knn"] = {
-                "seed_radius": r0,
-                "growth": policy.growth,
-                "rounds": 0,
-                "round_radii": [],
-                "relaunched": [],
-                "satisfied": [],
-                "relaunched_fraction": [],
-                "converged": True,
-            }
+            results[0].report.extras["true_knn"] = true_knn_extras(r0, policy)
             return results
         covers = [cover_radius(self.points, g) for g in groups]
         finals, rounds_info, conv = run_expansion(
@@ -556,11 +547,7 @@ class ShardedEngine:
             self.tracer,
         )
         report = self._merge_round_reports(groups, rounds_info)
-        report.extras["true_knn"] = {
-            "seed_radius": r0,
-            "growth": policy.growth,
-            **conv,
-        }
+        report.extras["true_knn"] = true_knn_extras(r0, policy, conv)
         return [
             SearchResults(idx, cnt, d2, report)
             for idx, cnt, d2 in finals
@@ -736,55 +723,35 @@ class ShardedEngine:
         k: int,
         budget: int | None = None,
     ) -> dict[int, SearchResults]:
-        """Run every sub-call; one thread per worker, brute inline.
+        """Run every sub-call on the calling thread, brute ones last.
 
-        A worker's sub-calls run serially in shard order on its thread
-        (one simulated device each); distinct workers run concurrently.
-        Outcomes are collected by shard id, so downstream merging never
-        observes completion order.
+        Routed sub-calls run in ascending worker id, in shard order
+        within a worker. Workers are separate devices only on the
+        modeled clock (``busy_s``, the makespan); host threads would buy
+        no wall time under the GIL. Outcomes are keyed by shard id.
         """
-        jobs: dict[int, list[_ShardCall]] = {}
-        brute: list[_ShardCall] = []
-        for call, wid in zip(calls, routes):
-            if wid is None:
-                brute.append(call)
-            else:
-                jobs.setdefault(wid, []).append(call)
-
         outcomes: dict[int, SearchResults] = {}
-
-        def run_worker(wid: int) -> list[tuple[int, SearchResults]]:
+        routed = sorted(
+            (wid, call.shard_id, call)
+            for call, wid in zip(calls, routes)
+            if wid is not None
+        )
+        for wid, sid, call in routed:
             worker = self.workers[wid]
-            out = []
-            for call in jobs[wid]:
-                engine = worker.engine_for(self.shards[call.shard_id])
-                if kind == "knn":
-                    res = engine.knn_search(
-                        call.queries, k=k, radius=radius, budget=budget
-                    )
-                else:
-                    res = engine.range_search(
-                        call.queries, radius=radius, k=k, budget=budget
-                    )
-                worker.busy_s += res.report.modeled_time
-                worker.launches += 1
-                out.append((call.shard_id, res))
-            return out
+            engine = worker.engine_for(self.shards[sid])
+            if kind == "knn":
+                res = engine.knn_search(
+                    call.queries, k=k, radius=radius, budget=budget
+                )
+            else:
+                res = engine.range_search(
+                    call.queries, radius=radius, k=k, budget=budget
+                )
+            worker.busy_s += res.report.modeled_time
+            worker.launches += 1
+            outcomes[sid] = res
 
-        worker_ids = sorted(jobs)
-        if len(worker_ids) <= 1:
-            batches = [run_worker(wid) for wid in worker_ids]
-        else:
-            with ThreadPoolExecutor(max_workers=len(worker_ids)) as pool:
-                futures = [pool.submit(run_worker, wid) for wid in worker_ids]
-                # Collected in submission (worker-id) order: failures
-                # propagate deterministically, results never depend on
-                # completion order.
-                batches = [f.result() for f in futures]
-        for batch in batches:
-            for sid, res in batch:
-                outcomes[sid] = res
-
+        brute = [call for call, wid in zip(calls, routes) if wid is None]
         for call in brute:
             shard = self.shards[call.shard_id]
             pts = self.points[shard.point_ids]
@@ -833,19 +800,14 @@ class ShardedEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Reduce shard-order candidate blocks to the k canonical best.
 
-        Two stable row-wise argsorts implement a lexicographic
-        ``(sq_distance, index)`` sort: sorting by index first, then
-        stably by distance, leaves equal-distance candidates in index
-        order. Padding (``-1``/``inf``) sinks to the end because every
-        real candidate has finite distance.
+        Rows are put in :func:`~repro.core.results.canonical_sort`
+        order, truncated to ``k`` and re-padded. Padding (``-1``/``inf``)
+        sinks to the end because every real candidate has finite
+        distance.
         """
-        rows = np.arange(len(idx_mat))[:, None]
-        by_idx = np.argsort(idx_mat, axis=1, kind="stable")
-        idx = idx_mat[rows, by_idx]
-        d2 = d2_mat[rows, by_idx]
-        by_d2 = np.argsort(d2, axis=1, kind="stable")
-        idx = idx[rows, by_d2][:, :k]
-        d2 = d2[rows, by_d2][:, :k]
+        idx, d2 = canonical_sort(idx_mat, d2_mat)
+        idx = idx[:, :k]
+        d2 = d2[:, :k]
         counts = np.minimum(
             np.isfinite(d2).sum(axis=1), k
         ).astype(np.int64)

@@ -263,6 +263,30 @@ def test_true_knn_rejects_budget_everywhere():
         )
 
 
+@pytest.mark.parametrize("entry", ["true_knn_search", "search_fused"])
+@pytest.mark.parametrize("topology", ["engine", "sharded"])
+def test_true_knn_rejects_configured_budget(topology, entry):
+    """``config.step_budget`` is refused by every true_knn entry point.
+
+    A budget-truncated bounded round drops neighbors, so running the
+    expansion loop under a configured budget would return wrong rows
+    with no ``budget`` extras to say so.
+    """
+    from repro.serve.shard import ShardedEngine
+
+    points = _clustered(400, seed=41)
+    cfg = RTNNConfig(step_budget=3)
+    if topology == "engine":
+        engine = RTNNEngine(points, config=cfg)
+    else:
+        engine = ShardedEngine(points, n_shards=4, config=cfg)
+    with pytest.raises(ValueError, match="true_knn"):
+        if entry == "true_knn_search":
+            engine.true_knn_search(points[:60], k=8)
+        else:
+            engine.search_fused("true_knn", [points[:60]], radius=None, k=8)
+
+
 def test_budget_through_sharded_engine():
     from repro.serve.shard import ShardedEngine
 

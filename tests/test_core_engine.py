@@ -1,6 +1,8 @@
 """End-to-end engine correctness against the brute-force oracle,
 across all optimization variants and both search types."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,20 @@ def test_with_config(cube_points):
     other = engine.with_config(schedule=False)
     assert engine.config.schedule and not other.config.schedule
     assert other.points is not None
+
+
+def test_removed_parallel_bundles_field_rejected(cube_points):
+    """Launches run serially on the calling thread; a config that still
+    names the old ``parallel_bundles`` fan-out knob fails loudly on every
+    construction path instead of being silently ignored."""
+    assert "parallel_bundles" not in {f.name for f in fields(RTNNConfig)}
+    with pytest.raises(TypeError):
+        RTNNConfig(parallel_bundles=4)
+    with pytest.raises(TypeError):
+        replace(VARIANTS["sched+part"], parallel_bundles=0)
+    engine = RTNNEngine(cube_points)
+    with pytest.raises(ValueError, match="unknown config field"):
+        engine.with_config(parallel_bundles=-2)
 
 
 def test_input_validation(cube_points):

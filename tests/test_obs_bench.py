@@ -153,7 +153,7 @@ def test_shard_scenario_naming_and_twin():
     assert bench.shard_twin(sharded.name) == "uniform-80/sched+part/knn"
     # variant names containing "sh" must not look like shard suffixes
     assert bench.shard_twin("uniform-80/sched+part/knn") is None
-    assert bench.shard_twin("uniform-80/sched+part/knn/par4") is None
+    assert bench.shard_twin("uniform-80/sched+part/knn/x3") is None
 
 
 def test_smoke_suite_has_a_sharded_twin():

@@ -27,6 +27,7 @@ from repro.serve import (
     SearchService,
     ServiceConfig,
     ShardedEngine,
+    ShardWorker,
     shard_spot_check,
 )
 from repro.utils.rng import default_rng
@@ -338,6 +339,76 @@ def test_makespan_is_the_busiest_worker_not_the_sum(world):
     assert sh.modeled_makespan_s < sum(busy), (
         "4 busy workers must beat serial execution on the modeled clock"
     )
+
+
+# ----------------------------------------------------------------------
+# worker count: placement only, never results or modeled work
+# ----------------------------------------------------------------------
+def _run_on_workers(monkeypatch, points, queries, kind, n_workers, kill=()):
+    """One 4-shard search on ``n_workers``; returns (result, busy, order).
+
+    ``order`` lists the ``(worker id, shard id)`` of every sub-call in
+    the order the scatter ran them (spied on ``ShardWorker.engine_for``).
+    """
+    order = []
+    engine_for = ShardWorker.engine_for
+
+    def spy(self, shard):
+        order.append((self.worker_id, shard.shard_id))
+        return engine_for(self, shard)
+
+    monkeypatch.setattr(ShardWorker, "engine_for", spy)
+    sh = ShardedEngine(points, n_shards=4, n_workers=n_workers)
+    for wid in kill:
+        sh.kill_worker(wid)
+    res = _sharded(sh, kind, queries)
+    return res, sum(w.busy_s for w in sh.workers), order
+
+
+def _assert_same_work(a, b):
+    ra, rb = a.report, b.report
+    for field in (
+        "is_calls", "traversal_steps", "n_partitions", "n_bundles",
+        "n_bvh_builds",
+    ):
+        assert getattr(ra, field) == getattr(rb, field), field
+    assert ra.breakdown == rb.breakdown
+    for extra in ("prune", "gas_cache"):
+        assert ra.extras[extra] == rb.extras[extra], extra
+
+
+@pytest.mark.parametrize("kind", ["knn", "range"])
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
+def test_worker_count_changes_nothing_but_placement(
+    world, monkeypatch, kind, n_workers
+):
+    points, queries = world
+    ref, ref_busy, _ = _run_on_workers(monkeypatch, points, queries, kind, 1)
+    res, busy, order = _run_on_workers(
+        monkeypatch, points, queries, kind, n_workers
+    )
+    _assert_rows_equal(ref, res, f"{n_workers} workers")
+    _assert_same_work(ref, res)
+    # Per-worker float sums regroup the same terms: equal up to rounding.
+    assert busy == pytest.approx(ref_busy, rel=1e-12)
+    assert len(order) == 4
+    assert order == sorted(order)
+    assert len({wid for wid, _ in order}) == min(n_workers, 4)
+
+
+def test_killed_worker_changes_nothing_but_placement(world, monkeypatch):
+    points, queries = world
+    ref, ref_busy, _ = _run_on_workers(monkeypatch, points, queries, "knn", 1)
+    res, busy, order = _run_on_workers(
+        monkeypatch, points, queries, "knn", 4, kill=(0,)
+    )
+    assert res.report.extras["shard"]["failovers"] == 1
+    assert res.report.extras["shard"]["brute_shards"] == 0
+    _assert_rows_equal(ref, res, "killed worker")
+    _assert_same_work(ref, res)
+    assert busy == pytest.approx(ref_busy, rel=1e-12)
+    assert 0 not in {wid for wid, _ in order}
+    assert order == sorted(order)
 
 
 # ----------------------------------------------------------------------
