@@ -30,7 +30,6 @@ from repro.core import (
     RunReport,
     VARIANTS,
     PlanarRTNN,
-    DynamicRTNN,
 )
 from repro.gpu import RTX_2080, RTX_2080TI, DeviceSpec
 
@@ -40,7 +39,6 @@ __all__ = [
     "RTNNEngine",
     "SearchSession",
     "PlanarRTNN",
-    "DynamicRTNN",
     "RTNNConfig",
     "SearchResults",
     "RunReport",

@@ -4,8 +4,9 @@ Dynamic workloads (SPH particles, LiDAR streams) move points every
 step. Rebuilding the BVH costs k1 * M; *refitting* — recomputing node
 bounds bottom-up over the unchanged topology — is cheaper and is what
 OptiX exposes as an acceleration-structure update. Tree quality decays
-as points drift from their build-time Morton order, so callers
-typically refit for a few steps and rebuild periodically.
+as points drift from their build-time Morton order, so callers refit
+until the SAH cost has decayed too far and then rebuild (the watchdog
+in :meth:`repro.core.engine.RTNNEngine.update_points`).
 
 The refit walks the level structure implicitly: node bounds are
 recomputed children-first by iterating nodes in reverse creation order

@@ -23,7 +23,6 @@ from repro.core.partition import (
 )
 from repro.core.bundling import bundle_partitions, Bundle, BundlingDecision
 from repro.core.scheduling import schedule_queries, ScheduleOutcome
-from repro.core.dynamic import DynamicRTNN, FrameReport
 from repro.core.planar import PlanarRTNN
 from repro.core.queues import KnnQueueBatch, RangeAccumulator
 
@@ -46,8 +45,6 @@ __all__ = [
     "schedule_queries",
     "ScheduleOutcome",
     "PlanarRTNN",
-    "DynamicRTNN",
-    "FrameReport",
     "KnnQueueBatch",
     "RangeAccumulator",
 ]

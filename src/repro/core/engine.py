@@ -42,7 +42,7 @@ from repro.gpu.costmodel import IsKind
 from repro.gpu.device import DeviceSpec, RTX_2080
 from repro.metrics.breakdown import Breakdown
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.optix.gas import build_gas, refit_gas
+from repro.optix.gas import build_gas, refit_gas, sah_decayed
 from repro.optix.pipeline import Pipeline
 from repro.utils.validate import as_points, check_positive, check_positive_int
 
@@ -136,7 +136,8 @@ class RTNNEngine:
     acceleration structure, so repeat batches skip the BVH builds (and
     their ``breakdown.bvh`` charge) entirely — the Fig. 12/15
     amortization the paper assumes. ``update_points`` moves the point
-    set while keeping the cache warm via refits.
+    set while keeping the cache warm via refits, rebuilding only once
+    refits have decayed tree quality.
     """
 
     def __init__(
@@ -782,35 +783,45 @@ class RTNNEngine:
         When the point count is unchanged every cached GAS is *refit*
         in place (:func:`repro.optix.gas.refit_gas`): bounds stay exact
         over the frozen topology, so subsequent searches remain exact
-        while skipping full rebuilds. A changed count invalidates the
-        cache and recomputes the Morton order. Returns the modeled
-        structure-update seconds, which are also charged to the next
-        run's ``bvh`` category.
+        while skipping full rebuilds. Refits decay tree quality, so
+        after the refits a watchdog compares each GAS's SAH cost with
+        its build-time SAH: if any exceeds
+        :data:`~repro.optix.gas.REBUILD_SAH_FACTOR` x its build SAH, or
+        the point count changed, the Morton order is recomputed and the
+        cache cleared, so the next search rebuilds every structure it
+        needs over the new order. Returns the modeled refit seconds
+        (0.0 on a count change), which are also charged to the next
+        run's ``bvh`` category beside any rebuilds.
         """
         pts = as_points(points, "points")
         # Seed radii are density-derived: any movement of the cloud
         # invalidates them, or a post-refit true_knn run would walk a
         # radius schedule seeded from the old positions.
         self._seed_cache.clear()
+        refit_time = 0.0
         if pts.shape == self.points.shape:
             self.points = pts
             self._points_fp = fingerprint_array(pts)
-            refit_time = 0.0
+            decayed = False
             for key, gas in self.gas_cache.take_all():
                 refit_time += refit_gas(
                     gas, pts, self.cost_model, tracer=self.tracer
                 )
+                decayed = decayed or sah_decayed(gas)
                 self.gas_cache.insert(
                     replace(key, points_fp=self._points_fp), gas
                 )
             self._pending_bvh_time += refit_time
-            return refit_time
+            if not decayed:
+                return refit_time
+        # Every GAS shares the Morton order: rebuilding on the stale
+        # order would reproduce the decayed topology.
         self.points = pts
         self._point_order = morton_order(pts)
         self._points_fp = fingerprint_array(pts)
         self._order_fp = fingerprint_array(self._point_order)
         self.gas_cache.clear()
-        return 0.0
+        return refit_time
 
     def with_config(self, **changes) -> "RTNNEngine":
         """A copy of this engine with config fields replaced.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bvh import BVH, build_lbvh, refit_bvh
+from repro.bvh import BVH, build_lbvh, refit_bvh, tree_stats
 from repro.geometry.aabb import aabbs_from_points
 from repro.gpu.costmodel import CostModel
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -20,6 +20,11 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 #: refit touches each node once with trivial math — a quarter of the
 #: full build's per-AABB cycles is a conservative hardware-update cost
 REFIT_COST_FRACTION = 0.25
+
+#: a refit structure whose SAH cost exceeds this multiple of its
+#: build-time SAH has decayed enough to be rebuilt (see
+#: :meth:`repro.core.engine.RTNNEngine.update_points`)
+REBUILD_SAH_FACTOR = 2.0
 
 
 @dataclass
@@ -32,12 +37,16 @@ class GeometryAS:
     points: ``(N, 3)`` the primitive centers (search points).
     half_width: AABB half-width used for every primitive.
     build_time: modeled construction time (k1 * M).
+    build_sah: SAH cost of the tree as built; recorded by the first
+        :func:`refit_gas`, so structures that never move never pay for
+        the measurement.
     """
 
     bvh: BVH
     points: np.ndarray
     half_width: float
     build_time: float
+    build_sah: float | None = None
 
     @property
     def n_prims(self) -> int:
@@ -99,12 +108,16 @@ def refit_gas(
     over the frozen topology (:func:`repro.bvh.refit_bvh`). Bounds stay
     exact — searches against the refit structure return exact results —
     but tree quality decays as points drift from their build-time
-    Morton order, so callers rebuild periodically. Requires the same
-    point count as the build; the returned modeled seconds are
-    ``REFIT_COST_FRACTION`` of a full build.
+    Morton order. The first refit records the build-time SAH cost so
+    :func:`sah_decayed` can tell when the engine should rebuild instead
+    (the watchdog in :meth:`repro.core.engine.RTNNEngine.update_points`).
+    Requires the same point count as the build; the returned modeled
+    seconds are ``REFIT_COST_FRACTION`` of a full build.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("refit_gas", phase="build") as sp:
+        if gas.build_sah is None:
+            gas.build_sah = tree_stats(gas.bvh).sah_cost
         points = np.ascontiguousarray(points, dtype=np.float64)
         lo, hi = aabbs_from_points(points, gas.half_width)
         refit_bvh(gas.bvh, lo, hi)  # also drops cached leaf point-MBRs
@@ -115,3 +128,9 @@ def refit_gas(
         sp.add(aabbs=len(points), modeled_s=refit_time)
         sp.note(aabb_width=2.0 * float(gas.half_width))
     return refit_time
+
+
+def sah_decayed(gas: GeometryAS) -> bool:
+    """Whether a refit ``gas``'s SAH cost exceeds ``REBUILD_SAH_FACTOR``
+    x its build-time SAH (call after :func:`refit_gas`)."""
+    return tree_stats(gas.bvh).sah_cost > REBUILD_SAH_FACTOR * gas.build_sah

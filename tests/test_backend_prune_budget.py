@@ -123,20 +123,28 @@ def test_pruned_results_bit_identical(mode, variant):
 def test_pruning_survives_refits():
     # Moving points invalidates the cached leaf MBRs; a stale cache
     # would prune against frame-0 geometry and silently drop neighbors.
-    from repro.core.dynamic import DynamicRTNN
-
+    # Jitter steps take the refit path, the teleport step the SAH
+    # watchdog's rebuild path.
     points = _clustered(300, seed=9)
     queries = points[:60].copy()
     runs = {}
     for prune in (True, False):
-        dyn = DynamicRTNN(points.copy(), radius=0.08)
-        dyn.pipeline.prune_leaves = prune
+        eng = RTNNEngine(points, config=RTNNConfig(leaf_prune=prune))
+        eng.knn_search(queries, k=6, radius=0.08)
         rng = default_rng(21)
-        for _ in range(3):
-            dyn.update(dyn.points + rng.normal(0.0, 0.004, points.shape))
-            res = dyn.knn_search(queries, k=6)
-        runs[prune] = res
-    assert _identical(runs[True], runs[False])
+        moved = points
+        runs[prune] = []
+        for step in range(4):
+            if step == 2:
+                moved = _clustered(300, seed=10)
+            else:
+                moved = moved + rng.normal(0.0, 0.004, points.shape)
+            eng.update_points(moved)
+            res = eng.knn_search(queries, k=6, radius=0.08)
+            assert (res.report.n_bvh_builds > 0) == (step == 2)
+            runs[prune].append(res)
+    for pruned, unpruned in zip(runs[True], runs[False]):
+        assert _identical(pruned, unpruned)
 
 
 @pytest.mark.parametrize("mode", ["knn", "range"])

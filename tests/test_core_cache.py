@@ -16,6 +16,7 @@ from repro.core.cache import (
     quantize_half_width,
 )
 from repro.core.engine import RTNNEngine, VARIANTS
+from repro.optix.gas import REBUILD_SAH_FACTOR, REFIT_COST_FRACTION
 
 
 def _key(i: int) -> GASKey:
@@ -217,6 +218,120 @@ def test_update_points_new_shape_invalidates(small_cloud):
     assert len(engine.gas_cache) == 0
     res = engine.knn_search(queries, k=4, radius=0.1)
     assert res.report.n_bvh_builds > 0
+
+
+def _cached_gases(engine):
+    return list(engine.gas_cache._entries.values())
+
+
+def _assert_rows_match_brute(res, points, queries, k, radius):
+    from repro.baselines import brute_force_knn
+
+    ref = brute_force_knn(points, queries, k=k, radius=radius)
+    assert np.array_equal(res.indices, ref.indices)
+    assert np.array_equal(res.counts, ref.counts)
+    valid = res.indices >= 0
+    np.testing.assert_allclose(
+        res.sq_distances[valid], ref.sq_distances[valid],
+        rtol=1e-9, atol=1e-12,
+    )
+
+
+def test_search_exact_after_refits(small_cloud):
+    points, queries = small_cloud
+    rng = np.random.default_rng(5)
+    engine = RTNNEngine(points)
+    engine.knn_search(queries, k=5, radius=0.12)
+    pts = points
+    for _ in range(4):
+        pts = np.clip(pts + rng.normal(0, 0.01, pts.shape), 0, 1)
+        assert engine.update_points(pts) > 0.0
+        res = engine.knn_search(queries, k=5, radius=0.12)
+        # drift too small to degrade quality: refit only, no rebuild
+        assert res.report.n_bvh_builds == 0
+        _assert_rows_match_brute(res, pts, queries, 5, 0.12)
+
+
+def test_refit_cheaper_than_rebuild(small_cloud):
+    points, queries = small_cloud
+    engine = RTNNEngine(points)
+    cold = engine.knn_search(queries, k=4, radius=0.1)
+    refit_time = engine.update_points(points + 0.001)
+    assert 0.0 < refit_time < cold.report.breakdown.bvh
+    assert refit_time == pytest.approx(
+        REFIT_COST_FRACTION * cold.report.breakdown.bvh
+    )
+
+
+@pytest.mark.parametrize("move", ["teleport", "shrink"])
+@pytest.mark.parametrize("kind", ["knn", "range"])
+def test_rebuild_on_quality_degradation(small_cloud, kind, move):
+    """A refit that decays the SAH past REBUILD_SAH_FACTOR x its build
+    SAH drops the cache and the Morton order; the next search rebuilds
+    lazily and is bit-identical to a cold engine on the moved points."""
+    from repro.geometry.morton import morton_order
+
+    points, queries = small_cloud
+    if move == "teleport":
+        moved = np.random.default_rng(9).random(points.shape)
+    else:
+        moved = 0.25 * points
+
+    def search(engine):
+        if kind == "knn":
+            return engine.knn_search(queries, k=5, radius=0.1)
+        return engine.range_search(queries, radius=0.1, k=16)
+
+    engine = RTNNEngine(points)
+    search(engine)
+    old_order_fp = engine._order_fp
+    refit_time = engine.update_points(moved)
+    assert refit_time > 0.0  # the refit already done is still charged
+    assert len(engine.gas_cache) == 0
+    assert engine._order_fp == fingerprint_array(morton_order(moved))
+    if move == "teleport":  # a uniform shrink keeps the Morton order
+        assert engine._order_fp != old_order_fp
+
+    warm = search(engine)
+    cold = search(RTNNEngine(moved))
+    assert warm.report.n_bvh_builds == cold.report.n_bvh_builds > 0
+    assert warm.report.breakdown.bvh == pytest.approx(
+        refit_time + cold.report.breakdown.bvh
+    )
+    assert np.array_equal(warm.indices, cold.indices)
+    assert np.array_equal(warm.counts, cold.counts)
+    assert np.array_equal(warm.sq_distances, cold.sq_distances)
+    assert warm.report.is_calls == cold.report.is_calls
+    assert warm.report.traversal_steps == cold.report.traversal_steps
+
+
+def test_long_walk_keeps_sah_bounded():
+    """Small jitters refit, teleports and shrinks decay the tree: after
+    every update each cached GAS stays within REBUILD_SAH_FACTOR of the
+    SAH it was built with, and every search matches the oracle."""
+    from repro.api import SearchSession
+    from repro.bvh import tree_stats
+
+    rng = np.random.default_rng(17)
+    pts = rng.random((500, 3))
+    session = SearchSession(pts)
+    built = {}  # id(gas) -> (gas, SAH as built); holds gas alive
+    for step in range(16):
+        if step % 5 == 3:
+            pts = rng.random(pts.shape)
+        elif step % 5 == 4:
+            pts = 0.25 * pts
+        else:
+            pts = np.clip(pts + rng.normal(0.0, 0.01, pts.shape), 0, 1)
+        session.update_points(pts)
+        for gas in _cached_gases(session.engine):
+            sah = tree_stats(gas.bvh).sah_cost
+            assert sah <= REBUILD_SAH_FACTOR * built[id(gas)][1]
+        queries = pts[::9]
+        res = session.knn_search(queries, k=5, radius=0.1)
+        _assert_rows_match_brute(res, pts, queries, 5, 0.1)
+        for gas in _cached_gases(session.engine):
+            built.setdefault(id(gas), (gas, tree_stats(gas.bvh).sah_cost))
 
 
 def test_with_config_starts_cold(small_cloud):

@@ -142,10 +142,8 @@ def test_bench_scenarios_counters_match_online(monkeypatch):
     baseline_path = find_baseline(Path(__file__).resolve().parents[1])
     committed = set(json.loads(baseline_path.read_text())["scenarios"])
     scenarios = full_suite()
-    # Every suite scenario must be pinned; the baseline may still carry
-    # records of retired scenarios, which the comparator skips.
-    missing = {sc.name for sc in scenarios} - committed
-    assert not missing, f"suite scenarios missing from baseline: {missing}"
+    # The suite and the baseline pin exactly the same scenarios.
+    assert {sc.name for sc in scenarios} == committed
 
     for sc in scenarios:
         replayed = run_scenario(sc)
