@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-concurrency analyze baseline bench bench-smoke bench-check bench-test serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke profile trace-demo ci
+.PHONY: test lint lint-concurrency analyze baseline bench bench-smoke bench-check bench-test serve-smoke serve-shard-smoke true-knn-smoke workloads-smoke profile trace-demo ci
 
 # Extra pytest arguments ride in PYTEST_FLAGS (CI passes --junitxml=...).
 test:
@@ -80,15 +80,6 @@ true-knn-smoke:
 	  --mode true-knn -k 8 --seed 0 --shards 4 --true-knn-smoke \
 	  --max-rounds 12
 
-# Backend seam gate: compiled-backend (/nb) twins must be bit-identical
-# to the NumPy reference kernels — results, counters AND modeled time —
-# and budgeted (/bN) twins bounded by their exact twins. Runs against
-# whatever backends are importable: with numba installed it exercises
-# the JIT kernels, without it the graceful fallback; both must pass
-# (CI runs both matrix legs).
-backend-smoke:
-	$(PYTHON) -m repro.obs.bench --backend-check
-
 # Downstream-workloads gate: DBSCAN, directed Hausdorff, and a 5-step
 # SPH trajectory run on three serving paths (solo session, fused
 # service, 4-shard service); fails unless every output is bit-identical
@@ -109,4 +100,4 @@ trace-demo:
 # Everything CI gates on, in the same order as .github/workflows/ci.yml
 # runs its jobs; tests/test_ci_consistency.py cross-checks the two so
 # they cannot drift.
-ci: test analyze lint-concurrency bench-check bench-test serve-smoke serve-shard-smoke true-knn-smoke backend-smoke workloads-smoke
+ci: test analyze lint-concurrency bench-check bench-test serve-smoke serve-shard-smoke true-knn-smoke workloads-smoke

@@ -49,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import NUMPY_BACKEND, Backend
 from repro.bvh.node import BVH
-from repro.geometry.aabb import ray_aabb_intersect
+from repro.geometry.aabb import aabb_contains, box_sq_dists, ray_aabb_intersect
 
 
 def _finalize_tracer(tracer) -> None:
@@ -341,7 +340,6 @@ def trace_batch(
     max_iterations: int | None = None,
     prune: PruneSpec | None = None,
     step_budget: int | None = None,
-    backend: Backend = NUMPY_BACKEND,
 ) -> TraceResult:
     """Trace a batch of rays through ``bvh``.
 
@@ -378,10 +376,6 @@ def trace_batch(
         with stack entries remaining stops deterministically and is
         flagged in ``budget_exhausted`` — the approximate-search mode.
         ``None`` (default) traverses to completion (exact).
-    backend:
-        Kernel provider for the hot inner loops (prim containment
-        tests, MBR distance bounds). All backends are bit-identical to
-        the NumPy reference.
 
     Returns
     -------
@@ -435,8 +429,8 @@ def trace_batch(
     max_leaf = bvh.leaf_size
     test_prims = max_leaf > 1  # leaf bound == prim bound when 1
     # RTNN's degenerate short rays reduce the prim AABB test to closed
-    # origin-in-box containment — the backend-routed hot kernel. Longer
-    # segments keep the general slab test.
+    # origin-in-box containment. Longer segments keep the general slab
+    # test.
     fast_prim_test = (t_max - t_min <= 1e-12) and (t_min >= 0.0)
     # Bulk acceptance only pays when there is a per-point test to skip.
     bulk_t2 = prune.bulk_t2 if prune is not None and test_prims else None
@@ -447,7 +441,7 @@ def trace_batch(
 
     def prim_test(r: np.ndarray, p: np.ndarray) -> np.ndarray:
         if fast_prim_test:
-            return backend.points_in_boxes(origins[r], prim_lo[p], prim_hi[p])
+            return aabb_contains(prim_lo[p], prim_hi[p], origins[r])
         return ray_aabb_intersect(
             origins[r], directions[r], t_min, t_max, prim_lo[p], prim_hi[p]
         )
@@ -492,9 +486,7 @@ def trace_batch(
         # are a subset of slab hits, and every prim box lies inside its
         # node box, so no containment-passing primitive is ever lost.
         if fast_prim_test:
-            hit = backend.points_in_boxes(
-                origins[act], node_lo[nodes], node_hi[nodes]
-            )
+            hit = aabb_contains(node_lo[nodes], node_hi[nodes], origins[act])
         else:
             hit = ray_aabb_intersect(
                 origins[act], directions[act], t_min, t_max,
@@ -528,7 +520,7 @@ def trace_batch(
             # MBR. min_d2 above every acceptance bound -> skip the
             # leaf; max_d2 within the bulk bound -> every member point
             # provably passes the per-point tests.
-            min_d2, max_d2 = backend.box_sq_dists(
+            min_d2, max_d2 = box_sq_dists(
                 origins[leaf_rays],
                 prune.leaf_lo[leaf_nodes],
                 prune.leaf_hi[leaf_nodes],

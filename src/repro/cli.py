@@ -80,10 +80,6 @@ def _add_search(sub):
     p.add_argument("--no-bundle", action="store_true")
     p.add_argument("--knn-aabb", choices=("conservative", "equiv_volume"),
                    default="conservative")
-    p.add_argument("--backend", choices=("numpy", "numba"), default="numpy",
-                   help="hot-path kernel backend; 'numba' falls back to the "
-                        "NumPy reference kernels (bit-identical) when numba "
-                        "is not installed (default numpy)")
     p.add_argument("--budget", type=int, default=None, metavar="STEPS",
                    help="per-query traversal step budget: deterministic "
                         "approximate answers with a reported recall lower "
@@ -93,8 +89,7 @@ def _add_search(sub):
                    help="disable leaf MBR distance pruning (results are "
                         "bit-identical either way; for perf comparison)")
     p.add_argument("--profile", action="store_true",
-                   help="report pruning counters and per-backend wall time "
-                        "after the search")
+                   help="report leaf-pruning counters after the search")
     p.add_argument("--repeat", type=int, default=1, metavar="N",
                    help="run the search N times on the held engine; warm "
                         "batches reuse the GAS cache (default 1)")
@@ -122,7 +117,6 @@ def _cmd_search(args) -> int:
         partition=not args.no_partition,
         bundle=not args.no_bundle,
         knn_aabb=args.knn_aabb,
-        backend=args.backend,
         step_budget=args.budget,
         leaf_prune=not args.no_prune,
     )
@@ -167,7 +161,11 @@ def _cmd_search(args) -> int:
               f"recall >= {bud['recall_lower_bound']:.3f} "
               f"({'APPROXIMATE' if bud['budget_exhausted'] else 'exact: budget never fired'})")
     if args.profile:
-        _print_search_profile(args, points, queries, mode, radius, rep, wall)
+        pr = rep.extras.get("prune", {})
+        state = "on" if pr.get("enabled") else "off"
+        print(f"profile: leaf MBR pruning {state}: "
+              f"{pr.get('leaves_pruned', 0):,} leaf pairs pruned, "
+              f"{pr.get('leaves_bulk_accepted', 0):,} bulk-accepted")
     if repeat > 1:
         warm = sum(walls[1:]) / (repeat - 1)
         stats = engine.gas_cache.stats
@@ -185,50 +183,6 @@ def _cmd_search(args) -> int:
         )
         print(f"results written to {args.out}")
     return 0
-
-
-def _print_search_profile(args, points, queries, mode, radius, rep, wall):
-    """The ``search --profile`` report: pruning counters + per-backend
-    wall time (the configured backend's run is reused; the others are
-    re-run once each on a fresh engine)."""
-    from dataclasses import replace as dc_replace
-
-    from repro.backend import BACKEND_NAMES, resolve_backend
-
-    pr = rep.extras.get("prune", {})
-    state = "on" if pr.get("enabled") else "off"
-    print(f"profile: leaf MBR pruning {state}: "
-          f"{pr.get('leaves_pruned', 0):,} leaf pairs pruned, "
-          f"{pr.get('leaves_bulk_accepted', 0):,} bulk-accepted")
-    base_config = RTNNConfig(
-        schedule=not args.no_schedule,
-        partition=not args.no_partition,
-        bundle=not args.no_bundle,
-        knn_aabb=args.knn_aabb,
-        step_budget=args.budget,
-        leaf_prune=not args.no_prune,
-    )
-    for bname in BACKEND_NAMES:
-        backend = resolve_backend(bname)
-        tag = " [fallback: numba not installed]" if backend.is_fallback else ""
-        if bname == args.backend:
-            print(f"profile: backend {bname:>6}{tag} wall {wall:7.3f} s "
-                  f"(this run)")
-            continue
-        eng = RTNNEngine(
-            points,
-            device=KNOWN_DEVICES[args.device],
-            config=dc_replace(base_config, backend=bname),
-        )
-        t0 = time.perf_counter()
-        if mode == "knn":
-            eng.knn_search(queries, k=args.k, radius=radius)
-        elif mode == "true_knn":
-            eng.true_knn_search(queries, k=args.k, radius=radius)
-        else:
-            eng.range_search(queries, radius=radius, k=args.k)
-        print(f"profile: backend {bname:>6}{tag} wall "
-              f"{time.perf_counter() - t0:7.3f} s")
 
 
 def _add_serve(sub):

@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.core.bundling import Bundle, bundle_partitions
 from repro.core.cache import GASCache, GASKey, fingerprint_array, quantize_half_width
 from repro.core.expansion import (
@@ -96,11 +95,6 @@ class RTNNConfig:
         an explicit recall lower bound in ``report.extras["budget"]``.
         Rejected for ``true_knn`` (its termination test needs exact
         bounded rounds).
-    backend:
-        Hot-path kernel provider: ``"numpy"`` (reference) or
-        ``"numba"`` (JIT-compiled; falls back to the reference kernels
-        with a warning when numba is not installed). All backends are
-        bit-identical.
     """
 
     schedule: bool = True
@@ -116,7 +110,6 @@ class RTNNConfig:
     aabb_shrink: float = 1.0
     leaf_prune: bool = True
     step_budget: int | None = None
-    backend: str = "numpy"
 
 
 #: named ablation variants of Fig. 13
@@ -152,13 +145,11 @@ class RTNNEngine:
         self.device = device
         self.config = config or RTNNConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.backend = resolve_backend(self.config.backend)
         self.pipeline = Pipeline(
             device=device,
             cache_sim=self.config.cache_sim,
             tracer=self.tracer,
             prune_leaves=self.config.leaf_prune,
-            backend=self.backend,
         )
         self.cost_model = self.pipeline.cost_model
         # All per-partition BVHs share the same Morton order (the AABB
@@ -378,15 +369,13 @@ class RTNNEngine:
             query_ids=launch_ids,
         )
         if kind == "knn":
-            shader = KnnShader(
-                self.points, origins, launch_ids, acc, backend=self.backend
-            )
+            shader = KnnShader(self.points, origins, launch_ids, acc)
             is_kind = IsKind.KNN
         else:
             sphere_test = bundle.sphere_test and not cfg.approx_elide_sphere_test
             shader = RangeShader(
                 self.points, origins, launch_ids, acc, radius,
-                sphere_test=sphere_test, backend=self.backend,
+                sphere_test=sphere_test,
             )
             is_kind = IsKind.RANGE_TEST if sphere_test else IsKind.RANGE_FAST
         return launch_ids, rays, shader, is_kind

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import NUMPY_BACKEND, Backend
 from repro.bvh.traverse import rank_batches, run_ranks
 from repro.core.queues import KnnQueueBatch, RangeAccumulator
 
@@ -44,13 +43,12 @@ class _PairDistance:
     own shader) never share scratch.
     """
 
-    __slots__ = ("_a", "_b", "_d2", "_backend")
+    __slots__ = ("_a", "_b", "_d2")
 
-    def __init__(self, backend: Backend | None = None):
+    def __init__(self):
         self._a = np.empty((0, 3), dtype=np.float64)
         self._b = np.empty((0, 3), dtype=np.float64)
         self._d2 = np.empty(0, dtype=np.float64)
-        self._backend = NUMPY_BACKEND if backend is None else backend
 
     def __call__(
         self,
@@ -72,7 +70,7 @@ class _PairDistance:
         np.take(a, a_ids, axis=0, out=ga)
         np.take(b, b_ids, axis=0, out=gb)
         np.subtract(ga, gb, out=ga)
-        return self._backend.sq_dist(ga, out=self._d2[:n])
+        return np.einsum("ij,ij->i", ga, ga, out=self._d2[:n])
 
 
 class RangeShader:
@@ -91,7 +89,6 @@ class RangeShader:
         accumulator: RangeAccumulator,
         radius: float,
         sphere_test: bool = True,
-        backend: Backend | None = None,
     ):
         self.points = points
         self.origins = origins
@@ -99,7 +96,7 @@ class RangeShader:
         self.acc = accumulator
         self.r2 = float(radius) * float(radius)
         self.sphere_test = sphere_test
-        self._dist = _PairDistance(backend)
+        self._dist = _PairDistance()
 
     def __call__(self, ray_ids: np.ndarray, prim_ids: np.ndarray):
         cut = self.flat_hits(ray_ids, prim_ids)
@@ -145,13 +142,12 @@ class KnnShader:
         origins: np.ndarray,
         query_ids: np.ndarray,
         queue: KnnQueueBatch,
-        backend: Backend | None = None,
     ):
         self.points = points
         self.origins = origins
         self.query_ids = query_ids
         self.queue = queue
-        self._dist = _PairDistance(backend)
+        self._dist = _PairDistance()
 
     def __call__(self, ray_ids: np.ndarray, prim_ids: np.ndarray):
         return self.flat_hits(ray_ids, prim_ids)

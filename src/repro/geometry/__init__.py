@@ -10,6 +10,7 @@ from repro.geometry.aabb import (
     aabb_contains,
     aabb_volume,
     aabb_surface_area,
+    box_sq_dists,
     ray_aabb_intersect,
     scene_bounds,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "aabb_contains",
     "aabb_volume",
     "aabb_surface_area",
+    "box_sq_dists",
     "ray_aabb_intersect",
     "scene_bounds",
     "RayBatch",

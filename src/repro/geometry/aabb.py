@@ -51,6 +51,24 @@ def aabb_contains(lo: np.ndarray, hi: np.ndarray, points: np.ndarray) -> np.ndar
     return np.logical_and(points >= lo, points <= hi).all(axis=-1)
 
 
+def box_sq_dists(
+    points: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared Euclidean lower/upper bounds from points to closed boxes.
+
+    Per axis, the nearest box point is at gap
+    ``max(lo - p, p - hi, 0)`` and the farthest corner at
+    ``max(p - lo, hi - p)``; summing squares over the axes gives
+    ``min_d2`` (0 inside the box) and ``max_d2`` — the bounds of leaf
+    MBR pruning. Points and boxes pair row-wise.
+    """
+    near = np.maximum(np.maximum(lo - points, points - hi), 0.0)
+    far = np.maximum(points - lo, hi - points)
+    min_d2 = np.einsum("ij,ij->i", near, near)
+    max_d2 = np.einsum("ij,ij->i", far, far)
+    return min_d2, max_d2
+
+
 def aabb_volume(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Volume of each AABB; zero for degenerate (inverted) boxes."""
     ext = np.clip(hi - lo, 0.0, None)

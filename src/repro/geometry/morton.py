@@ -58,7 +58,8 @@ def normalize_to_grid(points: np.ndarray, bits: int, lo=None, hi=None) -> np.nda
     """Quantize points into integer grid coordinates ``[0, 2**bits - 1]``.
 
     Points are scaled into the (optionally supplied) bounds; degenerate
-    axes (zero extent) map to coordinate 0.
+    axes map to coordinate 0. An axis is degenerate when its extent is
+    not positive or so small (subnormal) that the grid scale overflows.
     """
     points = np.asarray(points, dtype=np.float64)
     if lo is None:
@@ -68,8 +69,9 @@ def normalize_to_grid(points: np.ndarray, bits: int, lo=None, hi=None) -> np.nda
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     extent = hi - lo
-    extent = np.where(extent > 0.0, extent, 1.0)
-    scale = (2**bits - 1) / extent
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = (2**bits - 1) / extent
+    scale = np.where((extent > 0.0) & np.isfinite(scale), scale, 0.0)
     coords = np.clip((points - lo) * scale, 0, 2**bits - 1)
     return coords.astype(np.uint64)
 

@@ -125,7 +125,6 @@ class Scenario:
     seed: int = 7
     repeat: int = 1      # query batches served by one held engine
     shards: int = 0      # sharded topology workers (0 = single engine)
-    backend: str = ""    # "" = numpy reference; "numba" = compiled twin (/nb)
     budget: int = 0      # per-query traversal step budget (0 = exact)
 
     @property
@@ -136,16 +135,12 @@ class Scenario:
             base = f"{base}/x{self.repeat}"
         if self.shards:
             base = f"{base}/sh{self.shards}"
-        if self.backend == "numba":
-            base = f"{base}/nb"
         if self.budget:
             base = f"{base}/b{self.budget}"
         return base
 
     def config(self) -> RTNNConfig:
         cfg = VARIANTS[self.variant]
-        if self.backend:
-            cfg = replace(cfg, backend=self.backend)
         if self.budget:
             cfg = replace(cfg, step_budget=self.budget)
         return cfg
@@ -185,14 +180,9 @@ def smoke_suite() -> list[Scenario]:
         Scenario(family="clustered-tknn", n_points=400, n_queries=160,
                  variant="sched+part"),
     ] + [
-        # The backend seam and the step budget: a compiled-backend twin
-        # (``/nb``, gated bit-identical to its reference scenario by
-        # :func:`check_backend_consistency` — on machines without numba
-        # the graceful fallback makes it a self-check of the seam) and
-        # a budgeted twin (``/bN``, gated approximate-but-honest: a
+        # The step budget: a budgeted twin (``/bN``, gated by
+        # :func:`check_budget_consistency` as approximate-but-honest: a
         # subset of the exact answer plus a sane recall bound).
-        Scenario(family="clustered", n_points=400, n_queries=160,
-                 variant="sched+part", backend="numba"),
         Scenario(family="uniform", n_points=400, n_queries=160,
                  variant="sched+part", budget=12),
     ] + [
@@ -219,9 +209,6 @@ def full_suite() -> list[Scenario]:
                  variant="sched+part")
         for f in ("uniform-tknn", "clustered-tknn")
     ] + [
-        Scenario(family="clustered", n_points=2000, n_queries=700,
-                 variant="sched+part", backend="numba"),
-    ] + [
         # Larger workload sweeps: the baseline-variant DBSCAN twin pins
         # variant-independence of the labels, the uniform family a
         # second density regime.
@@ -234,23 +221,6 @@ def full_suite() -> list[Scenario]:
         Scenario(family="sph-clustered", n_points=400, n_queries=400,
                  variant="sched+part"),
     ]
-
-
-def backend_suite() -> list[Scenario]:
-    """The ``--backend-check`` gate suite: reference scenarios plus
-    their compiled-backend and budgeted twins, nothing else.
-
-    Small enough to run in the CI backend matrix (with and without
-    numba installed); :func:`check_backend_consistency` gates it."""
-    base = [
-        Scenario(family=f, n_points=400, n_queries=160, variant="sched+part")
-        for f in ("uniform", "clustered", "kitti")
-    ]
-    return (
-        base
-        + [replace(sc, backend="numba") for sc in base]
-        + [replace(base[0], budget=12)]
-    )
 
 
 # ----------------------------------------------------------------------
@@ -425,11 +395,6 @@ def run_scenario(scenario: Scenario) -> dict:
         record["wall_warm_s"] = warm
         record["warm_speedup"] = (walls[0] / warm) if warm > 0 else float("inf")
         record["gas_cache"] = cache
-    if scenario.backend and not scenario.shards:
-        record["backend"] = {
-            "requested": engine.backend.name,
-            "is_fallback": bool(engine.backend.is_fallback),
-        }
     if scenario.budget:
         bud = res.report.extras.get("budget", {})
         record["budget"] = {
@@ -472,15 +437,7 @@ def shard_twin(name: str) -> str | None:
     return _SHARD_SUFFIX.sub("", name)
 
 
-_BACKEND_SUFFIX = re.compile(r"/nb$")
 _BUDGET_SUFFIX = re.compile(r"/b\d+$")
-
-
-def backend_twin(name: str) -> str | None:
-    """Name of the reference scenario a ``/nb`` scenario mirrors."""
-    if not _BACKEND_SUFFIX.search(name):
-        return None
-    return _BACKEND_SUFFIX.sub("", name)
 
 
 def budget_twin(name: str) -> str | None:
@@ -552,44 +509,18 @@ def check_shard_consistency(payload: dict) -> list[str]:
     return failures
 
 
-def check_backend_consistency(payload: dict) -> list[str]:
-    """Gate the backend seam and the step budget against their twins.
+def check_budget_consistency(payload: dict) -> list[str]:
+    """Gate every step-budgeted ``/bN`` scenario against its exact twin.
 
-    ``/nb`` scenarios must be **bit-identical** to their reference
-    twin — results, counters *and* modeled seconds: every backend
-    performs the same float64 operations in the same order, so the
-    compiled kernels (or, without numba, the graceful fallback) may
-    change wall-clock only. ``/bN`` scenarios are approximate by
-    contract, but honestly so: the neighbor population must be a
-    subset of the exact twin's (never more work reported than the
-    exact answer), the recorded recall lower bound must be sane, and
-    a budgeted run whose budget never fired must be bit-identical.
+    Budgeted runs are approximate by contract, but honestly so: the
+    neighbor population must be a subset of the exact twin's (never
+    more work reported than the exact answer), the recorded recall
+    lower bound must be sane, and a budgeted run whose budget never
+    fired must be bit-identical.
     """
     failures: list[str] = []
     scenarios = payload.get("scenarios", {})
     for name, rec in sorted(scenarios.items()):
-        twin = backend_twin(name)
-        if twin is not None:
-            if twin not in scenarios:
-                failures.append(
-                    f"{name}: reference twin {twin!r} missing from suite"
-                )
-                continue
-            ref = scenarios[twin]
-            for key in ("neighbors", "checksum", "modeled_s"):
-                if rec.get(key) != ref.get(key):
-                    failures.append(
-                        f"{name}: {key} diverged from reference twin "
-                        f"({ref.get(key)!r} -> {rec.get(key)!r})"
-                    )
-            for key in sorted(set(rec["counters"]) | set(ref["counters"])):
-                a, b = rec["counters"].get(key), ref["counters"].get(key)
-                if a != b:
-                    failures.append(
-                        f"{name}: counter {key!r} diverged from reference "
-                        f"twin ({b!r} -> {a!r})"
-                    )
-            continue
         twin = budget_twin(name)
         if twin is None:
             continue
@@ -766,26 +697,17 @@ def profile_scenario(name: str, top: int = 15) -> int:
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(top)
 
-    # Hot-path summary: MBR pruning effectiveness and the wall-clock of
-    # each registered backend on this scenario (outside the profiler —
-    # cProfile overhead would drown the comparison). A numba fallback
-    # runs the NumPy kernels, so its timing is a seam-overhead check.
-    from repro.backend import BACKEND_NAMES, resolve_backend
-
-    print("bench: hot-path summary")
-    for bname in BACKEND_NAMES:
-        backend = resolve_backend(bname)
-        rec = run_scenario(
-            replace(scenario, backend="" if bname == "numpy" else bname)
-        )
-        c = rec["counters"]
-        tag = " [fallback: numba not installed]" if backend.is_fallback else ""
-        print(
-            f"  backend {bname:>6}{tag}: wall {rec['wall_s']:6.2f} s, "
-            f"leaf pairs pruned {c.get('leaves_pruned', 0):,}, "
-            f"bulk-accepted {c.get('leaves_bulk_accepted', 0):,}, "
-            f"prim transactions {c.get('prim_transactions', 0):,}"
-        )
+    # Hot-path summary: MBR pruning effectiveness and the scenario's
+    # wall-clock, from one run outside the profiler (cProfile overhead
+    # would inflate it).
+    rec = run_scenario(scenario)
+    c = rec["counters"]
+    print(
+        f"bench: hot-path summary: wall {rec['wall_s']:6.2f} s, "
+        f"leaf pairs pruned {c.get('leaves_pruned', 0):,}, "
+        f"bulk-accepted {c.get('leaves_bulk_accepted', 0):,}, "
+        f"prim transactions {c.get('prim_transactions', 0):,}"
+    )
     return 0
 
 
@@ -834,41 +756,10 @@ def main(argv=None) -> int:
         help="cProfile one scenario (default: %(const)s) and print the "
         "top functions by cumulative time instead of running the suite",
     )
-    parser.add_argument(
-        "--backend-check",
-        action="store_true",
-        help="run only the backend gate suite: compiled-backend twins "
-        "must be bit-identical to the NumPy reference, budgeted twins "
-        "bounded; writes and compares nothing",
-    )
     args = parser.parse_args(argv)
 
     if args.profile:
         return profile_scenario(args.profile)
-
-    if args.backend_check:
-        from repro.backend import available_backends
-
-        suite = backend_suite()
-        print(
-            f"bench: backend gate ({len(suite)} scenarios; native "
-            f"backends: {', '.join(available_backends())})"
-        )
-        payload = run_suite(suite)
-        failures = check_backend_consistency(payload)
-        if failures:
-            print(
-                f"bench: {len(failures)} backend/budget divergence(s):",
-                file=sys.stderr,
-            )
-            for failure in failures:
-                print(f"  FAIL {failure}", file=sys.stderr)
-            return 1
-        print(
-            "bench: backend twins bit-identical to the NumPy reference, "
-            "budgeted twins bounded by their exact twins"
-        )
-        return 0
 
     check_wall = args.check_wall if args.check_wall is not None else not args.smoke
     do_write = args.write if args.write is not None else not args.smoke
@@ -895,17 +786,17 @@ def main(argv=None) -> int:
     else:
         print("bench: sharded scenarios match their single-engine twins")
 
-    backend_failures = check_backend_consistency(payload)
-    if backend_failures:
+    budget_failures = check_budget_consistency(payload)
+    if budget_failures:
         print(
-            f"bench: {len(backend_failures)} backend/budget divergence(s):",
+            f"bench: {len(budget_failures)} budget divergence(s):",
             file=sys.stderr,
         )
-        for failure in backend_failures:
+        for failure in budget_failures:
             print(f"  FAIL {failure}", file=sys.stderr)
         status = 1
     else:
-        print("bench: backend twins bit-identical, budgeted twins bounded")
+        print("bench: budgeted twins bounded by their exact twins")
 
     tknn_failures = check_true_knn_oracle(payload)
     if tknn_failures:

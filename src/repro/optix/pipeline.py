@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backend import NUMPY_BACKEND, Backend
 from repro.bvh.traverse import PruneSpec, TraceResult, trace_batch
 from repro.geometry.ray import RayBatch
 from repro.gpu.cache import SampledCacheTracer
@@ -70,14 +69,13 @@ class Pipeline:
 
     def __init__(self, device: DeviceSpec = RTX_2080, cache_sim: bool = True,
                  cache_max_warps: int = 8, tracer: Tracer | None = None,
-                 prune_leaves: bool = True, backend: Backend | None = None):
+                 prune_leaves: bool = True):
         self.device = device
         self.cost_model = CostModel(device)
         self.cache_sim = cache_sim
         self.cache_max_warps = cache_max_warps
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.prune_leaves = prune_leaves
-        self.backend = NUMPY_BACKEND if backend is None else backend
 
     def _prune_spec(self, gas: GeometryAS, is_shader) -> PruneSpec | None:
         """Derive sound leaf-prune bounds for this launch, or ``None``.
@@ -172,7 +170,6 @@ class Pipeline:
                 tracer=stream,
                 prune=self._prune_spec(gas, is_shader),
                 step_budget=step_budget,
-                backend=self.backend,
             )
             cost = self.cost_model.launch_cost(trace, kind, tracer=cache)
             l1 = cache.l1_hit_rate if cache is not None else None

@@ -1,16 +1,12 @@
-"""Leaf MBR pruning, the traversal step budget, and the backend seam.
+"""Leaf MBR pruning and the traversal step budget.
 
-Three contracts from one PR, each tested against the others' oracle:
+Two contracts, each tested against the exact search as its oracle:
 
 * **pruning is invisible**: every (query, leaf) pair the MBR distance
   test skips would have been rejected by the accumulator anyway, so
   results — indices, counts, squared distances — are bit-identical
   with pruning on and off, across modes, variants and topologies; only
   the pruning counters may differ.
-* **backends are invisible**: the ``numba`` backend (here: its
-  graceful NumPy fallback, since CI's other matrix leg owns the real
-  JIT kernels) performs the same float64 operations in the same order,
-  so results, counters *and* modeled seconds are bit-identical.
 * **the budget is honest**: a budgeted run returns a subset of the
   exact answer, reports a recall lower bound the actual recall always
   meets, recovers exactness monotonically as the budget grows, and is
@@ -19,21 +15,13 @@ Three contracts from one PR, each tested against the others' oracle:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.backend import (
-    BACKEND_NAMES,
-    NUMPY_BACKEND,
-    available_backends,
-    numba_available,
-    resolve_backend,
-)
-from repro.backend import numpy_ref
 from repro.core.engine import RTNNConfig, RTNNEngine, VARIANTS
+from repro.geometry.aabb import aabb_contains, box_sq_dists
 from repro.utils.rng import default_rng
 
 
@@ -61,14 +49,14 @@ def _search(engine, mode, queries, radius, k, **kw):
 
 
 # ----------------------------------------------------------------------
-# reference kernels
+# MBR distance bounds
 # ----------------------------------------------------------------------
 def test_box_sq_dists_bounds_every_point_in_the_box():
     rng = default_rng(11)
     lo = rng.random((64, 3))
     hi = lo + rng.random((64, 3))
     pts = rng.random((64, 3)) * 3.0 - 1.0
-    min_d2, max_d2 = numpy_ref.box_sq_dists(pts, lo, hi)
+    min_d2, max_d2 = box_sq_dists(pts, lo, hi)
     # Brute-force check against a dense corner/clamp sample per box.
     for i in range(64):
         clamped = np.clip(pts[i], lo[i], hi[i])
@@ -79,21 +67,8 @@ def test_box_sq_dists_bounds_every_point_in_the_box():
         )
         far = ((pts[i] - corners) ** 2).sum(axis=1).max()
         assert max_d2[i] == pytest.approx(far)
-    inside = numpy_ref.points_in_boxes(pts, lo, hi)
+    inside = aabb_contains(lo, hi, pts)
     assert np.all(min_d2[inside] == 0.0)
-
-
-def test_resolve_backend_registry():
-    assert resolve_backend(None) is NUMPY_BACKEND
-    assert resolve_backend("numpy") is NUMPY_BACKEND
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("cuda")
-    assert "numpy" in available_backends()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        nb = resolve_backend("numba")
-    assert nb.name == "numba"
-    assert nb.is_fallback == (not numba_available())
 
 
 # ----------------------------------------------------------------------
@@ -160,41 +135,6 @@ def test_pruned_results_bit_identical_sharded(mode):
         )
         runs[prune] = _search(eng, mode, queries, 0.07, 6)
     assert _identical(runs[True], runs[False])
-
-
-# ----------------------------------------------------------------------
-# backends are invisible
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["knn", "range", "true_knn"])
-def test_backend_results_bit_identical(mode):
-    points = _clustered(400, seed=7)
-    queries = points[:100]
-    radius, k = (0.06, 8) if mode != "true_knn" else (None, 4)
-    runs = {}
-    for backend in BACKEND_NAMES:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            eng = RTNNEngine(points, config=RTNNConfig(backend=backend))
-        runs[backend] = _search(eng, mode, queries, radius, k)
-    a, b = runs["numpy"], runs["numba"]
-    assert _identical(a, b)
-    assert a.report.modeled_time == b.report.modeled_time
-    assert a.report.is_calls == b.report.is_calls
-    assert a.report.traversal_steps == b.report.traversal_steps
-
-
-def test_fallback_warns_once_and_round_trips_name():
-    if numba_available():
-        pytest.skip("numba installed: no fallback to exercise")
-    from repro.backend import _numba_backend
-
-    _numba_backend.cache_clear()
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        backend = resolve_backend("numba")
-    assert backend.name == "numba" and backend.is_fallback
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a second warning would raise
-        assert resolve_backend("numba") is backend
 
 
 # ----------------------------------------------------------------------

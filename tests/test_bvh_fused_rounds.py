@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import NUMPY_BACKEND
 from repro.bvh import PruneSpec, TraceResult, trace_batch
 from repro.bvh.traverse import _drive_by_rank, _warp_max, rank_batches, run_ranks
 from repro.core.queues import CountAccumulator, KnnQueueBatch, RangeAccumulator
 from repro.core.shaders import FirstHitShader, KnnShader, RangeShader
+from repro.geometry.aabb import aabb_contains, box_sq_dists
 from repro.optix import Pipeline, build_gas
 
 
@@ -35,7 +35,6 @@ def reference_trace(bvh, origins, hit_handler, tracer=None, prune=None,
     as the slot runs (slot-major), except for ``any_hit = False``
     shaders, whose round streams whole in ray-major order.
     """
-    be = NUMPY_BACKEND
     n_rays = len(origins)
     stack = np.zeros((n_rays, bvh.depth + 2), dtype=np.int64)
     sp = np.ones(n_rays, dtype=np.int64)
@@ -60,9 +59,7 @@ def reference_trace(bvh, origins, hit_handler, tracer=None, prune=None,
         nodes = stack[act, tops]
         if tracer is not None:
             tracer.on_node_access(it, act, nodes)
-        hit = be.points_in_boxes(
-            origins[act], bvh.node_lo[nodes], bvh.node_hi[nodes]
-        )
+        hit = aabb_contains(bvh.node_lo[nodes], bvh.node_hi[nodes], origins[act])
         hit_nodes, hit_rays = nodes[hit], act[hit]
         internal = bvh.node_left[hit_nodes] >= 0
         pi, ni = hit_rays[internal], hit_nodes[internal]
@@ -74,7 +71,7 @@ def reference_trace(bvh, origins, hit_handler, tracer=None, prune=None,
         leaf_rays, leaf_nodes = hit_rays[~internal], hit_nodes[~internal]
         bulk = np.zeros(len(leaf_rays), dtype=bool)
         if len(leaf_rays) and prune is not None:
-            min_d2, max_d2 = be.box_sq_dists(
+            min_d2, max_d2 = box_sq_dists(
                 origins[leaf_rays],
                 prune.leaf_lo[leaf_nodes],
                 prune.leaf_hi[leaf_nodes],
@@ -113,10 +110,10 @@ def reference_trace(bvh, origins, hit_handler, tracer=None, prune=None,
                 tested = ~bulk[sel]
                 prim_tests[r[tested]] += 1
                 ok = bulk[sel].copy()
-                ok[tested] = be.points_in_boxes(
-                    origins[r[tested]],
+                ok[tested] = aabb_contains(
                     bvh.prim_lo[prims[tested]],
                     bvh.prim_hi[prims[tested]],
+                    origins[r[tested]],
                 )
                 r, prims = r[ok], prims[ok]
                 if not len(r):

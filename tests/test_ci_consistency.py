@@ -138,18 +138,3 @@ def test_workloads_smoke_gate_is_wired():
     # bit-identity over a sharded topology.
     assert re.search(r"workload\s+--check", make_text)
     assert re.search(r"workloads-smoke:\n\t.*--shards 4", make_text)
-
-
-def test_backend_smoke_gate_is_wired():
-    assert "backend-smoke" in _ci_prerequisites()
-    assert "backend-smoke" in _job_names()
-    make_text = MAKEFILE.read_text()
-    assert "--backend-check" in make_text
-    text = _workflow_text()
-    # The gate must run both matrix legs: pure-NumPy fallback and the
-    # real JIT kernels (installed only on that leg).
-    assert re.search(r"numba:\s*\[", text), (
-        "backend-smoke job has no numba matrix"
-    )
-    assert "pip install numba" in text
-    assert "matrix.numba == 'numba'" in text

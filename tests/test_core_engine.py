@@ -164,15 +164,20 @@ def test_with_config(cube_points):
 def test_removed_parallel_bundles_field_rejected(cube_points):
     """Launches run serially on the calling thread; a config that still
     names the old ``parallel_bundles`` fan-out knob fails loudly on every
-    construction path instead of being silently ignored."""
-    assert "parallel_bundles" not in {f.name for f in fields(RTNNConfig)}
-    with pytest.raises(TypeError):
-        RTNNConfig(parallel_bundles=4)
-    with pytest.raises(TypeError):
-        replace(VARIANTS["sched+part"], parallel_bundles=0)
+    construction path instead of being silently ignored. The same holds
+    for the removed kernel ``backend`` selector: the NumPy kernels are
+    called directly."""
+    names = {f.name for f in fields(RTNNConfig)}
+    assert "parallel_bundles" not in names and "backend" not in names
+    assert len(names) == 13
     engine = RTNNEngine(cube_points)
-    with pytest.raises(ValueError, match="unknown config field"):
-        engine.with_config(parallel_bundles=-2)
+    for stale in ({"parallel_bundles": 4}, {"backend": "numba"}):
+        with pytest.raises(TypeError):
+            RTNNConfig(**stale)
+        with pytest.raises(TypeError):
+            replace(VARIANTS["sched+part"], **stale)
+        with pytest.raises(ValueError, match="unknown config field"):
+            engine.with_config(**stale)
 
 
 def test_input_validation(cube_points):

@@ -1,5 +1,7 @@
 """Morton code tests, including hypothesis round-trip properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +86,19 @@ def test_normalize_degenerate_axis():
     pts = np.array([[0.5, 1.0, 2.0], [0.5, 2.0, 4.0]])
     q = normalize_to_grid(pts, 8)
     assert (q[:, 0] == 0).all()  # zero-extent axis maps to 0
+
+
+def test_normalize_subnormal_extent_is_degenerate():
+    # (2**21 - 1) / 5e-324 overflows: the axis must quantize like a
+    # zero-extent one, without NaN casts or overflow warnings.
+    pts = np.array([[0.0, 0.0, 0.0], [5e-324, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = normalize_to_grid(pts, MORTON_BITS_3D)
+        codes = morton_encode_3d(pts)
+    assert (q <= 2**MORTON_BITS_3D - 1).all()
+    assert (q == 0).all()
+    assert (codes == 0).all()
 
 
 @settings(max_examples=50)

@@ -194,6 +194,62 @@ def test_shard_consistency_catches_divergence_and_missing_twin():
     assert any("missing" in f for f in failures)
 
 
+def test_budget_twin_is_pinned_in_every_suite():
+    name = "uniform-400/sched+part/knn/b12"
+    assert bench.budget_twin(name) == "uniform-400/sched+part/knn"
+    assert bench.budget_twin("uniform-400/sched+part/knn") is None
+    for suite in (bench.smoke_suite(), bench.full_suite()):
+        names = {s.name for s in suite}
+        assert name in names and bench.budget_twin(name) in names
+
+
+def _budget_payload(**budgeted):
+    exact = {"neighbors": 10, "checksum": 42}
+    rec = {
+        "neighbors": 8,
+        "checksum": 40,
+        "budget": {"recall_lower_bound": 0.5, "budget_exhausted": True},
+    }
+    rec.update(budgeted)
+    return {
+        "scenarios": {
+            "uniform-80/sched+part/knn": exact,
+            "uniform-80/sched+part/knn/b12": rec,
+        }
+    }
+
+
+def test_budget_consistency_accepts_an_honest_subset():
+    assert bench.check_budget_consistency(_budget_payload()) == []
+    never_fired = {"recall_lower_bound": 1.0, "budget_exhausted": False}
+    payload = _budget_payload(neighbors=10, checksum=42, budget=never_fired)
+    assert bench.check_budget_consistency(payload) == []
+
+
+@pytest.mark.parametrize(
+    "budgeted, needle",
+    [
+        ({"neighbors": 11}, "MORE neighbors"),
+        ({"budget": {"recall_lower_bound": 1.5, "budget_exhausted": True}},
+         "outside [0, 1]"),
+        ({"budget": {"recall_lower_bound": 1.0, "budget_exhausted": False}},
+         "budget never fired"),
+        ({"budget": {}}, "no budget stats"),
+    ],
+)
+def test_budget_consistency_catches_dishonest_twins(budgeted, needle):
+    failures = bench.check_budget_consistency(_budget_payload(**budgeted))
+    assert failures and all("/b12" in f for f in failures)
+    assert any(needle in f for f in failures)
+
+
+def test_budget_consistency_catches_missing_twin():
+    payload = _budget_payload()
+    del payload["scenarios"]["uniform-80/sched+part/knn"]
+    failures = bench.check_budget_consistency(payload)
+    assert len(failures) == 1 and "missing" in failures[0]
+
+
 def test_repeat_record_carries_amortization_fields(payload):
     records = payload["scenarios"]
     repeated = records["uniform-80/noopt/knn/x2"]
@@ -251,6 +307,15 @@ def test_main_smoke_mode_skips_write_and_wall(tiny_main):
     run, tmp_path = tiny_main
     assert run("--smoke") == 0
     assert list(tmp_path.glob("BENCH_*.json")) == []
+
+
+def test_main_runs_the_budget_gate(tiny_main, monkeypatch, capsys):
+    run, _ = tiny_main
+    monkeypatch.setattr(
+        bench, "check_budget_consistency", lambda payload: ["x/b12: bad"]
+    )
+    assert run("--smoke") == 1
+    assert "budget divergence" in capsys.readouterr().err
 
 
 def test_main_missing_baseline_is_usage_error(tiny_main):

@@ -121,6 +121,8 @@ def test_with_config_unknown_field_raises_with_hint():
     # A removed field is as unknown as a typo: stale configs fail loudly.
     with pytest.raises(ValueError, match="unknown config field"):
         session.with_config(parallel_bundles=4)
+    with pytest.raises(ValueError, match="unknown config field"):
+        session.with_config(backend="numba")
     # Valid fields keep working, and the error lists them.
     assert session.with_config(partition=False).config.partition is False
     with pytest.raises(ValueError, match="valid fields:.*partition"):
