@@ -32,7 +32,7 @@ from repro.core.expansion import (
 )
 from repro.core.partition import compute_megacells, default_cell_size, make_partitions
 from repro.core.queues import CountAccumulator, KnnQueueBatch, RangeAccumulator
-from repro.core.results import RunReport, SearchResults, sum_work_extras
+from repro.core.results import RunReport, SearchResults, budget_extras
 from repro.core.scheduling import schedule_queries
 from repro.core.shaders import KnnShader, RangeShader
 from repro.geometry.morton import morton_order
@@ -527,7 +527,7 @@ class RTNNEngine:
 
         total_is = 0
         total_steps = 0
-        hit_w = 0.0
+        hit_w = 0
         l1_acc = 0.0
         l2_acc = 0.0
         occ_w = 0.0
@@ -599,22 +599,13 @@ class RTNNEngine:
             },
         }
         if step_budget is not None:
-            n_ex = int(exhausted_q.sum())
-            extras["budget"] = {
-                "step_budget": int(step_budget),
-                "budget_exhausted": bool(n_ex),
-                "exhausted_queries": n_ex,
-                "total_queries": int(n_q),
-                # A query whose rays all ran to completion got the exact
-                # answer; the bound counts only truncated queries wrong.
-                "recall_lower_bound": (
-                    1.0 if n_q == 0 else max(0.0, 1.0 - n_ex / n_q)
-                ),
-                "group_exhausted": [
-                    int(exhausted_q[off : off + n].sum())
-                    for off, n in zip(offsets, sizes)
-                ],
-            }
+            extras["budget"] = budget_extras(
+                step_budget, int(exhausted_q.sum()), n_q
+            )
+            extras["budget"]["group_exhausted"] = [
+                int(exhausted_q[off : off + n].sum())
+                for off, n in zip(offsets, sizes)
+            ]
         if len(groups) > 1:
             extras["fused"] = {"n_groups": len(groups), "group_sizes": sizes}
         report = RunReport(
@@ -626,6 +617,7 @@ class RTNNEngine:
             n_bvh_builds=cache_misses,
             l1_hit_rate=(l1_acc / hit_w) if hit_w else None,
             l2_hit_rate=(l2_acc / hit_w) if hit_w else None,
+            cache_transactions=hit_w,
             sm_occupancy=(occ_acc / occ_w) if occ_w else None,
             device=self.device.name,
             extras=extras,
@@ -701,67 +693,14 @@ class RTNNEngine:
             policy,
             self.tracer,
         )
-        report = self._merge_round_reports(
-            [ri["report"] for ri in rounds_info]
+        report = RunReport.combine(
+            [ri["report"] for ri in rounds_info], rounds=True
         )
         report.extras["true_knn"] = true_knn_extras(r0, policy, conv)
         return [
             SearchResults(idx, cnt, d2, report)
             for idx, cnt, d2 in finals
         ]
-
-    @staticmethod
-    def _merge_round_reports(reports: list[RunReport]) -> RunReport:
-        """Fold per-round fused reports into one run-level report.
-
-        Additive fields (breakdown, IS calls, traversal steps,
-        partition/bundle/build tallies, launch extras, cache hit
-        tallies) sum across rounds. The transaction weights behind the
-        hit-rate and occupancy averages are not retained per round, so
-        multi-round reports leave them ``None``; a single-round run
-        passes its report's values through unchanged.
-        """
-        first = reports[0]
-        if len(reports) == 1:
-            return first
-        breakdown = Breakdown()
-        launch_costs: list = []
-        aabb_widths: list = []
-        bundle_sizes: list = []
-        is_calls = steps = parts = bundles = builds = 0
-        for rep in reports:
-            breakdown = breakdown + rep.breakdown
-            is_calls += rep.is_calls
-            steps += rep.traversal_steps
-            parts += rep.n_partitions
-            bundles += rep.n_bundles
-            builds += rep.n_bvh_builds
-            launch_costs.extend(rep.extras.get("launch_costs", []))
-            aabb_widths.extend(rep.extras.get("aabb_widths", []))
-            bundle_sizes.extend(rep.extras.get("bundle_sizes", []))
-        work = sum_work_extras(reports)
-        work["gas_cache"]["entries"] = (
-            reports[-1].extras.get("gas_cache", {}).get("entries", 0)
-        )
-        extras = {
-            "launch_costs": launch_costs,
-            "aabb_widths": aabb_widths,
-            "bundle_sizes": bundle_sizes,
-            **work,
-        }
-        return RunReport(
-            breakdown=breakdown,
-            is_calls=is_calls,
-            traversal_steps=steps,
-            n_partitions=parts,
-            n_bundles=bundles,
-            n_bvh_builds=builds,
-            l1_hit_rate=None,
-            l2_hit_rate=None,
-            sm_occupancy=None,
-            device=first.device,
-            extras=extras,
-        )
 
     # ------------------------------------------------------------------
     # structure lifecycle

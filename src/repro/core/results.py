@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,9 +29,16 @@ class RunReport:
         Acceleration structures constructed.
     l1_hit_rate, l2_hit_rate:
         Cache hit rates of the actual search (sampled simulation), or
-        ``None`` when cache simulation was disabled.
+        ``None`` when cache simulation was disabled. Over several
+        launches, rounds or shards: the mean weighted by
+        ``cache_transactions``.
+    cache_transactions:
+        Node + primitive transactions of the cache-simulated launches:
+        the weight behind the hit rates (0 when none was simulated).
     sm_occupancy:
-        Modeled achieved occupancy of the actual search.
+        Modeled achieved occupancy of the actual search: the mean over
+        its launches weighted by modeled search time
+        (``breakdown.search``).
     device:
         Device name the run was modeled on.
     extras:
@@ -46,6 +53,7 @@ class RunReport:
     n_bvh_builds: int = 1
     l1_hit_rate: float | None = None
     l2_hit_rate: float | None = None
+    cache_transactions: int = 0
     sm_occupancy: float | None = None
     device: str = ""
     extras: dict = field(default_factory=dict)
@@ -54,27 +62,98 @@ class RunReport:
     def modeled_time(self) -> float:
         return self.breakdown.total
 
+    @classmethod
+    def combine(cls, reports, *, rounds: bool = False) -> "RunReport":
+        """Fold the reports of several launches into one run report.
 
-def sum_work_extras(reports) -> dict:
-    """The summed ``gas_cache`` and ``prune`` extras of ``reports``.
+        Modeled time, IS calls, traversal steps, partition/bundle/build
+        tallies, the per-launch lists, ``gas_cache`` hits/misses,
+        ``prune`` leaf counts and ``budget`` query counts add up. The
+        hit rates are re-weighted by ``cache_transactions`` and the
+        occupancy by ``breakdown.search``, so run-level cache
+        statistics survive the fold. Cache ``entries`` is a size, not a
+        flow: it sums across different engines (shards), but when
+        ``rounds`` is set the reports are successive rounds of the same
+        engine(s) and the latest round's count stands.
 
-    Cache hits/misses, pruned and bulk-accepted leaf pairs add up, and
-    so do cache ``entries`` — the total for reports of *different*
-    engines (shards); a caller folding rounds of one engine replaces it
-    with the latest count. Pruning counts as enabled if any report ran
-    it.
+        A single report comes back as an unchanged copy; no reports
+        give an empty report (no partitions, bundles or builds).
+        """
+        reports = list(reports)
+        if len(reports) == 1:
+            return replace(reports[0], extras=dict(reports[0].extras))
+        breakdown = Breakdown()
+        for rep in reports:
+            breakdown = breakdown + rep.breakdown
+
+        def total(attr: str) -> int:
+            return sum(getattr(rep, attr) for rep in reports)
+
+        def extra(name: str, key: str, of=reports) -> int:
+            return sum(rep.extras.get(name, {}).get(key, 0) for rep in of)
+
+        def mean(attr: str, weight) -> float | None:
+            parts = [
+                (getattr(rep, attr), weight(rep))
+                for rep in reports
+                if getattr(rep, attr) is not None and weight(rep)
+            ]
+            w = sum(pw for _, pw in parts)
+            return sum(v * pw for v, pw in parts) / w if w else None
+
+        extras: dict = {
+            key: [v for rep in reports for v in rep.extras.get(key, [])]
+            for key in ("launch_costs", "aabb_widths", "bundle_sizes")
+        }
+        extras["gas_cache"] = {
+            "hits": extra("gas_cache", "hits"),
+            "misses": extra("gas_cache", "misses"),
+            "entries": extra("gas_cache", "entries", reports[-1:] if rounds else reports),
+        }
+        extras["prune"] = {
+            "enabled": any(rep.extras.get("prune", {}).get("enabled") for rep in reports),
+            "leaves_pruned": extra("prune", "leaves_pruned"),
+            "leaves_bulk_accepted": extra("prune", "leaves_bulk_accepted"),
+        }
+        budgets = [rep.extras["budget"] for rep in reports if "budget" in rep.extras]
+        if budgets:
+            extras["budget"] = budget_extras(
+                budgets[0]["step_budget"],
+                extra("budget", "exhausted_queries"),
+                extra("budget", "total_queries"),
+            )
+        return cls(
+            breakdown=breakdown,
+            is_calls=total("is_calls"),
+            traversal_steps=total("traversal_steps"),
+            n_partitions=total("n_partitions"),
+            n_bundles=total("n_bundles"),
+            n_bvh_builds=total("n_bvh_builds"),
+            l1_hit_rate=mean("l1_hit_rate", lambda r: r.cache_transactions),
+            l2_hit_rate=mean("l2_hit_rate", lambda r: r.cache_transactions),
+            cache_transactions=total("cache_transactions"),
+            sm_occupancy=mean("sm_occupancy", lambda r: r.breakdown.search),
+            device=reports[0].device if reports else "",
+            extras=extras,
+        )
+
+
+def budget_extras(step_budget: int, exhausted: int, n_queries: int) -> dict:
+    """The ``extras["budget"]`` record of a step-budgeted search.
+
+    A query whose rays all ran to completion got the exact answer, so
+    the recall lower bound counts only the ``exhausted`` queries (those
+    with a budget-truncated ray) as wrong.
     """
-    cache = {"hits": 0, "misses": 0, "entries": 0}
-    prune = {"enabled": False, "leaves_pruned": 0, "leaves_bulk_accepted": 0}
-    for rep in reports:
-        got = rep.extras.get("gas_cache", {})
-        for key in cache:
-            cache[key] += got.get(key, 0)
-        got = rep.extras.get("prune", {})
-        prune["enabled"] = prune["enabled"] or bool(got.get("enabled", False))
-        prune["leaves_pruned"] += got.get("leaves_pruned", 0)
-        prune["leaves_bulk_accepted"] += got.get("leaves_bulk_accepted", 0)
-    return {"gas_cache": cache, "prune": prune}
+    return {
+        "step_budget": int(step_budget),
+        "budget_exhausted": bool(exhausted),
+        "exhausted_queries": int(exhausted),
+        "total_queries": int(n_queries),
+        "recall_lower_bound": (
+            1.0 if n_queries == 0 else max(0.0, 1.0 - exhausted / n_queries)
+        ),
+    }
 
 
 @dataclass

@@ -37,11 +37,7 @@ import asyncio
 import time
 from dataclasses import dataclass
 
-from repro.baselines.brute import (
-    brute_force_knn,
-    brute_force_range,
-    brute_force_true_knn,
-)
+from repro.baselines.brute import exact_search
 from repro.core.expansion import reject_step_budget
 from repro.core.results import SearchResults
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -496,27 +492,23 @@ class SearchService:
         return MicroBatch(alive) if alive else None
 
     def _fallback(self, batch: MicroBatch) -> list[SearchResults]:
-        """The degraded path: exact brute-force, one request at a time."""
-        points = self.engine.points
-        out = []
-        for req in batch.requests:
-            if req.kind == "knn":
-                out.append(
-                    brute_force_knn(points, req.queries, k=req.k, radius=req.radius)
-                )
-            elif req.kind == "true_knn":
-                # unbounded: the request's radius is only the round-0
-                # seed, irrelevant to the exact answer
-                out.append(
-                    brute_force_true_knn(points, req.queries, k=req.k)
-                )
-            else:
-                out.append(
-                    brute_force_range(
-                        points, req.queries, radius=req.radius, k=req.k
-                    )
-                )
-        return out
+        """The degraded path: exact search, one request at a time.
+
+        :func:`~repro.baselines.brute.exact_search` uses the shader's
+        arithmetic, so degraded rows equal the healthy engine's
+        canonical rows bit for bit.
+        """
+        return [
+            exact_search(
+                self.engine.points,
+                req.queries,
+                req.k,
+                # unbounded true kNN: the request's radius is only the
+                # round-0 seed, irrelevant to the exact answer
+                None if req.kind == "true_knn" else req.radius,
+            )
+            for req in batch.requests
+        ]
 
     def _resolve(self, req: SearchRequest, result: ServeResult) -> None:
         if req.future is not None and not req.future.done():

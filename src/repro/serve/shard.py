@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.baselines.brute import exact_search
 from repro.core.cache import fingerprint_array
 from repro.core.engine import RTNNConfig, RTNNEngine
 from repro.core.expansion import (
@@ -77,12 +78,11 @@ from repro.core.partition import SpatialShard, make_spatial_shards
 from repro.core.results import (
     RunReport,
     SearchResults,
+    budget_extras,
     canonical_sort,
     empty_results,
-    sum_work_extras,
 )
 from repro.gpu.device import DeviceSpec, RTX_2080
-from repro.metrics.breakdown import Breakdown
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.serve.faults import FaultInjector, TransientFault
 from repro.utils.validate import as_points, check_positive, check_positive_int
@@ -485,9 +485,29 @@ class ShardedEngine:
         ]
         results = self._gather(groups, plans, calls, outcomes, k)
 
-        report = self._fused_report(
-            groups, calls, outcomes, failover_delta, brute_shards,
-            degraded_groups, budget,
+        # brute fallbacks carry no report: unmodeled, exact
+        report = RunReport.combine(
+            outcomes[call.shard_id].report for call in calls
+            if outcomes[call.shard_id].report is not None
+        )
+        report.device = self.device.name
+        step_budget = budget if budget is not None else self.config.step_budget
+        if step_budget is not None:
+            # A boundary query fanned out to several shards may be
+            # counted exhausted once per shard; dividing by the true
+            # group-query count therefore only *understates* recall —
+            # the bound stays a valid lower bound (clamped at 0).
+            report.extras["budget"] = budget_extras(
+                step_budget,
+                report.extras.get("budget", {}).get("exhausted_queries", 0),
+                sum(len(g) for g in groups),
+            )
+        report.extras["shard"] = self._shard_extras(
+            groups,
+            sub_launches=len(calls) - len(brute_shards),
+            brute_shards=len(brute_shards),
+            failovers=failover_delta,
+            degraded_groups=degraded_groups,
         )
         self.batches += 1
         with self.tracer.span("shard.batch", phase="serve") as sp:
@@ -546,73 +566,29 @@ class ShardedEngine:
             policy,
             self.tracer,
         )
-        report = self._merge_round_reports(groups, rounds_info)
+        report = RunReport.combine(
+            [ri["report"] for ri in rounds_info], rounds=True
+        )
+        # A group is degraded if any of its rounds touched a
+        # brute-served shard; each round indexes only its live groups.
+        degraded = [False] * len(groups)
+        for ri in rounds_info:
+            flags = ri["report"].extras["shard"]["degraded_groups"]
+            for li, gi in enumerate(ri["live"]):
+                degraded[gi] = degraded[gi] or flags[li]
+        report.extras["shard"] = self._shard_extras(
+            groups,
+            degraded_groups=degraded,
+            **{
+                key: sum(ri["report"].extras["shard"][key] for ri in rounds_info)
+                for key in ("sub_launches", "brute_shards", "failovers")
+            },
+        )
         report.extras["true_knn"] = true_knn_extras(r0, policy, conv)
         return [
             SearchResults(idx, cnt, d2, report)
             for idx, cnt, d2 in finals
         ]
-
-    def _merge_round_reports(
-        self, groups: list, rounds_info: list[dict]
-    ) -> RunReport:
-        """Fold per-round scatter-gather reports into one run report.
-
-        Additive fields and shard tallies sum across rounds; the
-        per-group ``degraded_groups`` flags are mapped from each
-        round's live-group indexing back to the global group order and
-        OR-ed (a group is degraded if any of its rounds touched a
-        brute-served shard).
-        """
-        n_groups = len(groups)
-        if len(rounds_info) == 1 and rounds_info[0]["live"] == list(
-            range(n_groups)
-        ):
-            return rounds_info[0]["report"]
-        breakdown = Breakdown()
-        is_calls = steps = parts = bundles = builds = 0
-        sub_launches = brute_shards = failovers = 0
-        degraded = [False] * n_groups
-        for ri in rounds_info:
-            rep = ri["report"]
-            breakdown = breakdown + rep.breakdown
-            is_calls += rep.is_calls
-            steps += rep.traversal_steps
-            parts += rep.n_partitions
-            bundles += rep.n_bundles
-            builds += rep.n_bvh_builds
-            sh = rep.extras["shard"]
-            sub_launches += sh["sub_launches"]
-            brute_shards += sh["brute_shards"]
-            failovers += sh["failovers"]
-            for li, gi in enumerate(ri["live"]):
-                degraded[gi] = degraded[gi] or sh["degraded_groups"][li]
-        work = sum_work_extras([ri["report"] for ri in rounds_info])
-        work["gas_cache"]["entries"] = (
-            rounds_info[-1]["report"].extras["gas_cache"]["entries"]
-        )
-        return RunReport(
-            breakdown=breakdown,
-            is_calls=is_calls,
-            traversal_steps=steps,
-            n_partitions=parts,
-            n_bundles=bundles,
-            n_bvh_builds=builds,
-            device=self.device.name,
-            extras={
-                "shard": {
-                    "n_shards": self.n_shards,
-                    "n_workers": self.n_workers,
-                    "sub_launches": sub_launches,
-                    "brute_shards": brute_shards,
-                    "failovers": failovers,
-                    "degraded_groups": degraded,
-                    "group_sizes": [len(g) for g in groups],
-                    "makespan_s": self.modeled_makespan_s,
-                },
-                **work,
-            },
-        )
 
     # ------------------------------------------------------------------
     # scatter
@@ -751,45 +727,13 @@ class ShardedEngine:
             worker.launches += 1
             outcomes[sid] = res
 
-        brute = [call for call, wid in zip(calls, routes) if wid is None]
-        for call in brute:
-            shard = self.shards[call.shard_id]
-            pts = self.points[shard.point_ids]
-            outcomes[call.shard_id] = self._exact_fallback(
-                pts, call.queries, radius, k
-            )
+        # Shader arithmetic, so a degraded shard's candidates carry the
+        # very float64 distances the healthy engine computes.
+        for call, wid in zip(calls, routes):
+            if wid is None:
+                pts = self.points[self.shards[call.shard_id].point_ids]
+                outcomes[call.shard_id] = exact_search(pts, call.queries, k, radius)
         return outcomes
-
-    @staticmethod
-    def _exact_fallback(
-        pts: np.ndarray, queries: np.ndarray, radius: float, k: int
-    ) -> SearchResults:
-        """Exact search over one dead shard's points (degraded path).
-
-        Deliberately *not* the brute-force oracle: the oracle's GEMM
-        expansion rounds differently (1 ulp) than the IS shader's
-        subtract-then-``einsum``, which would break the bit-identity
-        contract. This mirrors the shader arithmetic exactly — same
-        subtraction, same reduction order — so a degraded shard's
-        candidates carry the very same float64 distances the healthy
-        engine would have produced. Semantics match both request kinds:
-        the nearest ``<= k`` neighbors within ``radius``.
-        """
-        diff = queries[:, None, :] - pts[None, :, :]
-        d2 = np.einsum("qnd,qnd->qn", diff, diff)
-        r2 = float(radius) * float(radius)
-        d2 = np.where(d2 <= r2, d2, np.inf)
-        idx = np.broadcast_to(
-            np.arange(len(pts), dtype=np.int64), d2.shape
-        ).copy()
-        if d2.shape[1] < k:
-            pad = k - d2.shape[1]
-            d2 = np.pad(d2, ((0, 0), (0, pad)), constant_values=np.inf)
-            idx = np.pad(idx, ((0, 0), (0, pad)), constant_values=-1)
-        idx, counts, d2 = ShardedEngine._merge_rows(idx, d2, k)
-        return SearchResults(
-            indices=idx, counts=counts, sq_distances=d2, report=None
-        )
 
     # ------------------------------------------------------------------
     # gather
@@ -856,70 +800,23 @@ class ShardedEngine:
         return results
 
     # ------------------------------------------------------------------
-    def _fused_report(
+    def _shard_extras(
         self,
-        groups: list[np.ndarray],
-        calls: list[_ShardCall],
-        outcomes: dict[int, SearchResults],
-        failover_delta: int,
-        brute_shards: list[int],
+        groups: list,
+        *,
+        sub_launches: int,
+        brute_shards: int,
+        failovers: int,
         degraded_groups: list[bool],
-        budget: int | None = None,
-    ) -> RunReport:
-        breakdown = Breakdown()
-        is_calls = 0
-        steps = 0
-        builds = 0
-        exhausted = 0
-        # brute fallbacks carry no report: unmodeled, exact
-        reports = [
-            outcomes[call.shard_id].report for call in calls
-            if outcomes[call.shard_id].report is not None
-        ]
-        for rep in reports:
-            breakdown = breakdown + rep.breakdown
-            is_calls += rep.is_calls
-            steps += rep.traversal_steps
-            builds += rep.n_bvh_builds
-            exhausted += rep.extras.get("budget", {}).get(
-                "exhausted_queries", 0
-            )
-        extras = sum_work_extras(reports)
-        if budget is not None:
-            # A boundary query fanned out to several shards may be
-            # counted exhausted once per shard; dividing by the true
-            # group-query count therefore only *understates* recall —
-            # the bound stays a valid lower bound (clamped at 0).
-            n_q = sum(len(g) for g in groups)
-            extras["budget"] = {
-                "step_budget": int(budget),
-                "budget_exhausted": bool(exhausted),
-                "exhausted_queries": int(exhausted),
-                "total_queries": int(n_q),
-                "recall_lower_bound": (
-                    1.0 if n_q == 0
-                    else max(0.0, 1.0 - exhausted / n_q)
-                ),
-            }
-        return RunReport(
-            breakdown=breakdown,
-            is_calls=is_calls,
-            traversal_steps=steps,
-            n_partitions=len(calls),
-            n_bundles=len(calls),
-            n_bvh_builds=builds,
-            device=self.device.name,
-            extras={
-                "shard": {
-                    "n_shards": self.n_shards,
-                    "n_workers": self.n_workers,
-                    "sub_launches": len(calls) - len(brute_shards),
-                    "brute_shards": len(brute_shards),
-                    "failovers": failover_delta,
-                    "degraded_groups": degraded_groups,
-                    "group_sizes": [len(g) for g in groups],
-                    "makespan_s": self.modeled_makespan_s,
-                },
-                **extras,
-            },
-        )
+    ) -> dict:
+        """The ``extras["shard"]`` record: scatter tallies of a run."""
+        return {
+            "n_shards": self.n_shards,
+            "n_workers": self.n_workers,
+            "sub_launches": sub_launches,
+            "brute_shards": brute_shards,
+            "failovers": failovers,
+            "degraded_groups": degraded_groups,
+            "group_sizes": [len(g) for g in groups],
+            "makespan_s": self.modeled_makespan_s,
+        }

@@ -1,11 +1,11 @@
 """Brute-force oracles for the workload pipelines.
 
-Each oracle recomputes its workload from exhaustive pairwise
-distances, using the *same* float arithmetic as the engine's shaders
-(subtract, then einsum over the coordinate axis — the
-``_PairDistance`` contract, shared with ``brute_force_true_knn``) and
-the same canonical finalization rules as the pipelines. Matches are
-therefore exact:
+Each oracle recomputes its workload from exhaustive neighbor rows of
+:func:`~repro.baselines.brute.exact_search`, which uses the *same*
+float arithmetic as the engine's shaders (subtract, then reduce over
+the coordinate axis — the ``_PairDistance`` contract), and the same
+canonical finalization rules as the pipelines. Matches are therefore
+exact:
 
 * :func:`brute_dbscan` — labels equal bit-for-bit (not just up to
   renaming);
@@ -21,16 +21,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.brute import exact_search
 from repro.workloads.dbscan import DBSCANConfig, finalize_labels, _union
 from repro.workloads.sph import SPHConfig, interaction_forces
 
 _CHUNK = 256
 
 
-def _chunk_d2(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Exact (Q, N) squared distances, shader arithmetic."""
-    diff = queries[:, None, :] - points[None, :, :]
-    return np.einsum("qnd,qnd->qn", diff, diff)
+def _within(points: np.ndarray, radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per point, its ``radius``-neighbors (ids ascending) and their
+    squared distances, one :func:`exact_search` query chunk at a time."""
+    rows = []
+    for start in range(0, len(points), _CHUNK):
+        res = exact_search(points, points[start : start + _CHUNK], len(points), radius)
+        for idx, count, d2 in zip(res.indices, res.counts, res.sq_distances):
+            order = np.argsort(idx[:count])
+            rows.append((idx[order], d2[order]))
+    return rows
 
 
 def brute_dbscan(
@@ -42,32 +49,20 @@ def brute_dbscan(
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
-    r2 = float(config.eps) * float(config.eps)
-
-    counts = np.zeros(n, dtype=np.int64)
-    within_rows: list[np.ndarray] = []
-    for start in range(0, n, _CHUNK):
-        d2 = _chunk_d2(points[start : start + _CHUNK], points)
-        within = d2 <= r2
-        counts[start : start + _CHUNK] = within.sum(axis=1)
-        within_rows.append(within)
+    rows = _within(points, config.eps)
+    counts = np.array([len(ids) for ids, _ in rows], dtype=np.int64)
     core = counts >= config.min_pts
 
+    # Union order is immaterial: the smaller index always becomes root.
     parent = np.arange(n, dtype=np.int64)
     border_anchor = np.full(n, n, dtype=np.int64)
-    for ci, within in enumerate(within_rows):
-        base = ci * _CHUNK
-        for local in range(len(within)):
-            i = base + local
-            if not core[i]:
-                continue
-            nbrs = np.flatnonzero(within[local])
-            core_nbrs = nbrs[core[nbrs]]
-            for j in core_nbrs.tolist():
-                _union(parent, i, j)
-            other = nbrs[~core[nbrs]]
-            if len(other):
-                np.minimum.at(border_anchor, other, i)
+    for i in np.flatnonzero(core).tolist():
+        nbrs = rows[i][0]
+        for j in nbrs[core[nbrs]].tolist():
+            _union(parent, i, j)
+        other = nbrs[~core[nbrs]]
+        if len(other):
+            np.minimum.at(border_anchor, other, i)
     labels, n_clusters = finalize_labels(parent, core, border_anchor)
     return labels, core, counts, n_clusters
 
@@ -76,26 +71,18 @@ def brute_hausdorff(queries_a, points_b) -> tuple[float, int, int]:
     """Exhaustive directed ``h²(A, B)`` with canonical tie-breaks.
 
     Returns ``(sq_distance, index_a, index_b)`` — the lowest-index
-    maximizer of A and, for it, the lowest-index minimizer of B (both
-    via first-occurrence argmax/argmin over index-ordered chunks),
+    maximizer of A (first-occurrence argmax) and, for it, the
+    lowest-index minimizer of B (the canonical nearest neighbor),
     matching the pipeline's strict-update and canonical-witness rules.
     """
     a = np.asarray(queries_a, dtype=np.float64)
     b = np.asarray(points_b, dtype=np.float64)
     if len(a) == 0:
         return 0.0, -1, -1
-    cmax2 = -1.0
-    index_a = -1
-    index_b = -1
-    for start in range(0, len(a), _CHUNK):
-        d2 = _chunk_d2(a[start : start + _CHUNK], b)
-        mins = d2.min(axis=1)
-        best = int(np.argmax(mins))
-        if mins[best] > cmax2:
-            cmax2 = float(mins[best])
-            index_a = start + best
-            index_b = int(np.argmin(d2[best]))
-    return max(cmax2, 0.0), index_a, index_b
+    nearest = exact_search(b, a, k=1)
+    index_a = int(np.argmax(nearest.sq_distances[:, 0]))
+    cmax2 = float(nearest.sq_distances[index_a, 0])
+    return max(cmax2, 0.0), index_a, int(nearest.indices[index_a, 0])
 
 
 def brute_sph(
@@ -115,25 +102,15 @@ def brute_sph(
         if velocities is None
         else np.array(velocities, dtype=np.float64, copy=True)
     )
-    r2 = float(config.radius) * float(config.radius)
     dt = float(config.dt)
     for _ in range(config.n_steps):
-        counts = np.zeros(n, dtype=np.int64)
-        rows: list[tuple[np.ndarray, np.ndarray]] = []
-        for start in range(0, n, _CHUNK):
-            d2 = _chunk_d2(x[start : start + _CHUNK], x)
-            within = d2 <= r2
-            counts[start : start + _CHUNK] = within.sum(axis=1)
-            rows.append((within, d2))
-        k = max(int(counts.max()), 1)
+        rows = _within(x, config.radius)
+        k = max(max(len(ids) for ids, _ in rows), 1)
         cidx = np.full((n, k), -1, dtype=np.int64)
         cd2 = np.full((n, k), np.inf)
-        for ci, (within, d2) in enumerate(rows):
-            base = ci * _CHUNK
-            for local in range(len(within)):
-                nbrs = np.flatnonzero(within[local])
-                cidx[base + local, : len(nbrs)] = nbrs
-                cd2[base + local, : len(nbrs)] = d2[local, nbrs]
+        for i, (ids, d2) in enumerate(rows):
+            cidx[i, : len(ids)] = ids
+            cd2[i, : len(ids)] = d2
         acc = interaction_forces(x, cidx, cd2, config.gravity, config.softening)
         v = v + dt * acc
         x = x + dt * v

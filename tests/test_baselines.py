@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import (
     CuNSearch,
@@ -11,6 +12,8 @@ from repro.baselines import (
     brute_force_knn,
     brute_force_range,
 )
+from repro.baselines.brute import _EXACT_CHUNK, exact_search
+from repro.core.engine import RTNNEngine
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +151,72 @@ def test_chunk_size_validated(setup):
         CuNSearch(pts, chunk_size=0)
     with pytest.raises(ValueError):
         FRNN(pts, chunk_size=-1)
+
+
+def _true_knn_before(points, queries, k):
+    """The true-kNN oracle as it stood before :func:`exact_search`."""
+    n_q = len(queries)
+    indices = np.full((n_q, k), -1, dtype=np.int64)
+    sq_d = np.full((n_q, k), np.inf)
+    take = min(k, len(points))
+    for s in range(0, n_q, 256):
+        block = queries[s : s + 256]
+        diff = block[:, None, :] - points[None, :, :]
+        d2 = np.einsum("qnd,qnd->qn", diff, diff)
+        order = np.argsort(d2, axis=1, kind="stable")[:, :take]
+        indices[s : s + 256, :take] = order
+        sq_d[s : s + 256, :take] = d2[np.arange(len(block))[:, None], order]
+    return indices, np.full(n_q, take, dtype=np.int64), sq_d
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 60),
+    n_queries=st.sampled_from([1, 9, _EXACT_CHUNK + 1, 2 * _EXACT_CHUNK + 7]),
+    extra_k=st.integers(-8, 8),
+    duplicates=st.booleans(),
+    lattice=st.booleans(),
+    radius=st.sampled_from([None, 0.25, 0.3, 2.0]),
+)
+def test_exact_search_matches_old_oracle_and_engine(
+    seed, n_points, n_queries, extra_k, duplicates, lattice, radius
+):
+    """Rows span several query chunks, ``k`` may exceed ``N``, the cloud
+    may hold duplicate points, and the radius may be unbounded. On a
+    lattice with spacing 0.25, neighbors sit exactly on the radius."""
+    rng = np.random.default_rng(seed)
+
+    def cloud(n):
+        return rng.integers(0, 5, (n, 3)) * 0.25 if lattice else rng.random((n, 3))
+
+    pool = cloud(n_points)
+    points = pool[rng.integers(0, max(n_points // 3, 1), n_points)] if duplicates else pool
+    queries = cloud(n_queries)
+    k = max(1, n_points + extra_k)
+    got = exact_search(points, queries, k, radius)
+
+    # the pre-change oracle's rows, cut to the radius (a prefix of each
+    # ascending row, so the bounded rows are bit-comparable too)
+    idx, counts, d2 = _true_knn_before(points, queries, k)
+    if radius is not None:
+        out = d2 > radius * radius
+        idx[out], d2[out] = -1, np.inf
+        counts = np.isfinite(d2).sum(axis=1)
+    assert np.array_equal(got.indices, idx)
+    assert np.array_equal(got.counts, counts)
+    assert np.array_equal(got.sq_distances, d2)
+
+    # the healthy engine's canonical rows; at an exact distance tie
+    # across the k boundary the engine keeps a traversal-order subset
+    engine = RTNNEngine(points)
+    ref = (
+        engine.true_knn_search(queries, k=k)
+        if radius is None
+        else engine.knn_search(queries, k=k, radius=radius)
+    ).canonical()
+    assert np.array_equal(got.counts, ref.counts)
+    assert np.array_equal(got.sq_distances, ref.sq_distances)
+    full = exact_search(points, queries, n_points + 1).sq_distances
+    tie = (got.counts == k) & (full[:, min(k, n_points)] == got.sq_distances[:, -1])
+    assert np.array_equal(got.indices[~tie], ref.indices[~tie])
