@@ -13,10 +13,9 @@ Two builders:
   builder (widest-axis centroid median). Used in tests to cross-check
   traversal results against an independently-shaped tree.
 
-Node bounds are computed per level with ``np.minimum.reduceat`` /
-``np.maximum.reduceat`` over the Morton-sorted primitive bounds: within
-one level the node ranges are disjoint and ascending, which is exactly
-the segment layout ``reduceat`` wants.
+Both builders fix only the topology; node bounds come from
+:func:`~repro.bvh.refit.refit_bvh`, the level-synchronous bounds pass
+that also refits moved primitives.
 """
 
 from __future__ import annotations
@@ -24,36 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bvh.node import BVH
+from repro.bvh.refit import refit_bvh
 from repro.geometry.morton import morton_order
-
-
-def _segment_bounds(slo: np.ndarray, shi: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Min/max of ``slo``/``shi`` over disjoint ascending segments.
-
-    ``starts``/``ends`` are per-segment [start, end) ranges, sorted and
-    non-overlapping. Implemented with a single interleaved ``reduceat``;
-    the junk segments between an end and the next start are discarded.
-    """
-    n = len(slo)
-    m = len(starts)
-    if m == 0:
-        return (
-            np.empty((0, 3), dtype=np.float64),
-            np.empty((0, 3), dtype=np.float64),
-        )
-    idx = np.empty(2 * m, dtype=np.int64)
-    idx[0::2] = starts
-    idx[1::2] = ends
-    # reduceat indices must be < n; a trailing end == n is implied by the
-    # array end, so clip it away (the final segment then runs to n).
-    if idx[-1] == n:
-        idx = idx[:-1]
-        lo = np.minimum.reduceat(slo, idx, axis=0)[0::2]
-        hi = np.maximum.reduceat(shi, idx, axis=0)[0::2]
-    else:
-        lo = np.minimum.reduceat(slo, idx, axis=0)[0::2]
-        hi = np.maximum.reduceat(shi, idx, axis=0)[0::2]
-    return lo, hi
 
 
 def build_lbvh(
@@ -82,8 +53,6 @@ def build_lbvh(
         raise ValueError("cannot build a BVH over zero primitives")
     if prim_lo.shape != prim_hi.shape or prim_lo.shape[1] != 3:
         raise ValueError("prim_lo/prim_hi must both be (N, 3)")
-    if np.any(prim_hi < prim_lo):
-        raise ValueError("inverted primitive AABBs (hi < lo)")
     leaf_size = int(leaf_size)
     if leaf_size < 1:
         raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
@@ -93,16 +62,13 @@ def build_lbvh(
         order = morton_order(centers)
     else:
         order = np.asarray(order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(n)):
+        if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("order must be a permutation of range(N)")
-    slo = prim_lo[order]
-    shi = prim_hi[order]
 
     starts_all: list[np.ndarray] = []
     ends_all: list[np.ndarray] = []
     left_all: list[np.ndarray] = []
     right_all: list[np.ndarray] = []
-    level_sizes: list[int] = []
 
     # Level-order construction: the frontier holds this level's ranges.
     f_start = np.array([0], dtype=np.int64)
@@ -126,7 +92,6 @@ def build_lbvh(
         ends_all.append(f_end)
         left_all.append(left)
         right_all.append(right)
-        level_sizes.append(len(f_start))
         nodes_so_far += len(f_start)
 
         if n_split == 0:
@@ -140,36 +105,22 @@ def build_lbvh(
         f_start, f_end = ns, ne
         depth += 1
 
-    node_start = np.concatenate(starts_all)
-    node_end = np.concatenate(ends_all)
-    node_left = np.concatenate(left_all)
-    node_right = np.concatenate(right_all)
-
-    # Bounds, one reduceat per level (ranges within a level are disjoint
-    # and ascending by construction).
-    m = len(node_start)
-    node_lo = np.empty((m, 3), dtype=np.float64)
-    node_hi = np.empty((m, 3), dtype=np.float64)
-    off = 0
-    for size, s, e in zip(level_sizes, starts_all, ends_all):
-        lo, hi = _segment_bounds(slo, shi, s, e)
-        node_lo[off : off + size] = lo
-        node_hi[off : off + size] = hi
-        off += size
-
-    return BVH(
-        node_lo=node_lo,
-        node_hi=node_hi,
-        node_left=node_left,
-        node_right=node_right,
-        node_start=node_start,
-        node_end=node_end,
+    m = nodes_so_far
+    bvh = BVH(
+        node_lo=np.empty((m, 3), dtype=np.float64),
+        node_hi=np.empty((m, 3), dtype=np.float64),
+        node_left=np.concatenate(left_all),
+        node_right=np.concatenate(right_all),
+        node_start=np.concatenate(starts_all),
+        node_end=np.concatenate(ends_all),
         prim_order=order,
         prim_lo=prim_lo,
         prim_hi=prim_hi,
         depth=depth,
         leaf_size=leaf_size,
     )
+    refit_bvh(bvh, prim_lo, prim_hi)  # also rejects inverted AABBs
+    return bvh
 
 
 def build_median_split(
@@ -192,8 +143,6 @@ def build_median_split(
     centers = 0.5 * (prim_lo + prim_hi)
 
     order = np.arange(n, dtype=np.int64)
-    node_lo: list[np.ndarray] = []
-    node_hi: list[np.ndarray] = []
     node_left: list[int] = []
     node_right: list[int] = []
     node_start: list[int] = []
@@ -203,8 +152,6 @@ def build_median_split(
     # Explicit stack of (start, end, node_id, depth); children are
     # allocated eagerly so parent slots can be patched in place.
     def new_node(s: int, e: int) -> int:
-        node_lo.append(prim_lo[order[s:e]].min(axis=0))
-        node_hi.append(prim_hi[order[s:e]].max(axis=0))
         node_left.append(-1)
         node_right.append(-1)
         node_start.append(s)
@@ -231,9 +178,10 @@ def build_median_split(
         stack.append((s, mid, lid, d + 1))
         stack.append((mid, e, rid, d + 1))
 
-    return BVH(
-        node_lo=np.asarray(node_lo),
-        node_hi=np.asarray(node_hi),
+    m = len(node_left)
+    bvh = BVH(
+        node_lo=np.empty((m, 3), dtype=np.float64),
+        node_hi=np.empty((m, 3), dtype=np.float64),
         node_left=np.asarray(node_left, dtype=np.int64),
         node_right=np.asarray(node_right, dtype=np.int64),
         node_start=np.asarray(node_start, dtype=np.int64),
@@ -244,3 +192,5 @@ def build_median_split(
         depth=max_depth,
         leaf_size=leaf_size,
     )
+    refit_bvh(bvh, prim_lo, prim_hi)
+    return bvh

@@ -8,7 +8,7 @@ leaf" is always a view, never a copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +48,6 @@ class BVH:
     prim_hi: np.ndarray
     depth: int
     leaf_size: int
-    # Tight per-leaf *point* MBRs (leaf rows only; garbage elsewhere),
-    # computed lazily by ensure_leaf_mbrs and dropped on refit. These
-    # are deliberately NOT derived from the inflated node bounds
-    # (node_lo + half_width drifts by rounding); they are exact
-    # min/max reductions over the member points, which is what makes
-    # the min/max-dist² pruning bounds provably conservative.
-    leaf_lo: np.ndarray | None = field(default=None, repr=False)
-    leaf_hi: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -69,45 +61,6 @@ class BVH:
     def is_leaf(self) -> np.ndarray:
         """Boolean mask over nodes; True where the node is a leaf."""
         return self.node_left < 0
-
-    def ensure_leaf_mbrs(self, points: np.ndarray) -> None:
-        """Compute (once) the tight point MBR of every leaf.
-
-        Fills ``leaf_lo``/``leaf_hi`` with per-node ``(M, 3)`` arrays
-        whose *leaf* rows hold the elementwise min/max of the leaf's
-        member points; internal rows are left at ±inf and must never be
-        read. Leaf slices partition ``prim_order``, so one
-        ``reduceat`` over the start-sorted slice boundaries covers
-        every leaf. Idempotent; ``invalidate_leaf_mbrs`` (called on
-        refit) forces recomputation after points move.
-        """
-        if self.leaf_lo is not None:
-            return
-        pts = np.asarray(points, dtype=np.float64)[self.prim_order]
-        leaves = np.flatnonzero(self.is_leaf)
-        lo = np.full((self.n_nodes, 3), np.inf, dtype=np.float64)
-        hi = np.full((self.n_nodes, 3), -np.inf, dtype=np.float64)
-        if len(leaves):
-            by_start = leaves[np.argsort(self.node_start[leaves], kind="stable")]
-            starts = self.node_start[by_start]
-            lo[by_start] = np.minimum.reduceat(pts, starts, axis=0)
-            hi[by_start] = np.maximum.reduceat(pts, starts, axis=0)
-        self.leaf_lo = lo
-        self.leaf_hi = hi
-
-    def invalidate_leaf_mbrs(self) -> None:
-        """Drop cached leaf MBRs (points moved under a refit)."""
-        self.leaf_lo = None
-        self.leaf_hi = None
-
-    def leaf_of_prim(self) -> np.ndarray:
-        """Map each primitive (original index) to its containing leaf node."""
-        owner = np.full(self.n_prims, -1, dtype=np.int64)
-        leaves = np.flatnonzero(self.is_leaf)
-        for leaf in leaves:
-            s, e = self.node_start[leaf], self.node_end[leaf]
-            owner[self.prim_order[s:e]] = leaf
-        return owner
 
     def memory_bytes(self, node_bytes: int = 32, prim_bytes: int = 32) -> int:
         """Modeled device-memory footprint (used by the GPU cost model).

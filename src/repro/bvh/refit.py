@@ -8,10 +8,12 @@ as points drift from their build-time Morton order, so callers refit
 until the SAH cost has decayed too far and then rebuild (the watchdog
 in :meth:`repro.core.engine.RTNNEngine.update_points`).
 
-The refit walks the level structure implicitly: node bounds are
-recomputed children-first by iterating nodes in reverse creation order
-(children always have larger indices than their parent in both
-builders).
+The refit is level-synchronous, like the LBVH build. Leaf slices
+partition ``prim_order``, so one ``reduceat`` over the start-sorted
+leaves bounds every leaf at once. Internal nodes are then bounded one
+depth level at a time, deepest first, with one vectorized min/max of
+their children per level. The levels come from a breadth-first walk of
+the child links, so any valid tree works (LBVH or median-split).
 """
 
 from __future__ import annotations
@@ -21,12 +23,29 @@ import numpy as np
 from repro.bvh.node import BVH
 
 
+def _internal_levels(bvh: BVH) -> list[np.ndarray]:
+    """Internal node ids grouped by depth, root level first."""
+    levels = []
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        internal = frontier[bvh.node_left[frontier] >= 0]
+        if len(internal):
+            levels.append(internal)
+        frontier = np.concatenate(
+            [bvh.node_left[internal], bvh.node_right[internal]]
+        )
+    return levels
+
+
 def refit_bvh(bvh: BVH, prim_lo: np.ndarray, prim_hi: np.ndarray) -> None:
     """Update ``bvh``'s bounds in place for new primitive AABBs.
 
     ``prim_lo``/``prim_hi`` replace the primitive bounds (same count and
     order as at build time); topology, primitive order and leaf
-    assignment stay fixed.
+    assignment stay fixed. The result is bit-identical to recomputing
+    every node's bounds from its primitives: min and max are exact.
+    The bounds are stored as fresh arrays, so a launch still holding the
+    old ones reads a consistent snapshot.
     """
     prim_lo = np.ascontiguousarray(prim_lo, dtype=np.float64)
     prim_hi = np.ascontiguousarray(prim_hi, dtype=np.float64)
@@ -34,22 +53,19 @@ def refit_bvh(bvh: BVH, prim_lo: np.ndarray, prim_hi: np.ndarray) -> None:
         raise ValueError("refit requires the same primitive count as the build")
     if np.any(prim_hi < prim_lo):
         raise ValueError("inverted primitive AABBs (hi < lo)")
+
+    node_lo = np.empty_like(bvh.node_lo)
+    node_hi = np.empty_like(bvh.node_hi)
+    leaves = np.flatnonzero(bvh.is_leaf)
+    leaves = leaves[np.argsort(bvh.node_start[leaves], kind="stable")]
+    starts = bvh.node_start[leaves]
+    node_lo[leaves] = np.minimum.reduceat(prim_lo[bvh.prim_order], starts, axis=0)
+    node_hi[leaves] = np.maximum.reduceat(prim_hi[bvh.prim_order], starts, axis=0)
+    for ids in reversed(_internal_levels(bvh)):
+        l, r = bvh.node_left[ids], bvh.node_right[ids]
+        node_lo[ids] = np.minimum(node_lo[l], node_lo[r])
+        node_hi[ids] = np.maximum(node_hi[l], node_hi[r])
     bvh.prim_lo = prim_lo
     bvh.prim_hi = prim_hi
-    # Cached leaf point-MBRs are position-derived; every refit moves the
-    # primitives, so stale MBRs would make distance pruning unsound.
-    bvh.invalidate_leaf_mbrs()
-
-    slo = prim_lo[bvh.prim_order]
-    shi = prim_hi[bvh.prim_order]
-    # Children are created after their parents in both builders, so a
-    # reverse sweep sees every node's children before the node itself.
-    for i in range(bvh.n_nodes - 1, -1, -1):
-        l, r = bvh.node_left[i], bvh.node_right[i]
-        if l < 0:
-            s, e = bvh.node_start[i], bvh.node_end[i]
-            bvh.node_lo[i] = slo[s:e].min(axis=0)
-            bvh.node_hi[i] = shi[s:e].max(axis=0)
-        else:
-            bvh.node_lo[i] = np.minimum(bvh.node_lo[l], bvh.node_lo[r])
-            bvh.node_hi[i] = np.maximum(bvh.node_hi[l], bvh.node_hi[r])
+    bvh.node_lo = node_lo
+    bvh.node_hi = node_hi

@@ -58,7 +58,9 @@ def validate_bvh(bvh: BVH) -> None:
     * leaf sizes respect ``leaf_size``.
     """
     n = bvh.n_prims
-    assert sorted(bvh.prim_order.tolist()) == list(range(n)), "prim_order not a permutation"
+    assert np.array_equal(np.sort(bvh.prim_order), np.arange(len(bvh.prim_lo))), (
+        "prim_order not a permutation"
+    )
 
     slo = bvh.prim_lo[bvh.prim_order]
     shi = bvh.prim_hi[bvh.prim_order]

@@ -153,9 +153,12 @@ class RTNNEngine:
         )
         self.cost_model = self.pipeline.cost_model
         # All per-partition BVHs share the same Morton order (the AABB
-        # centers are always the points); computing it once makes the
-        # repeated builds cheap in the simulator too.
+        # centers are always the points), hence one topology: every
+        # width's GAS is the point-MBR tree ``_mbr`` grown by its half
+        # width. The tree is built by the first GAS and refit by the
+        # first refit_gas after a move.
         self._point_order = morton_order(self.points)
+        self._mbr = None
         self.gas_cache = (
             GASCache() if cache_capacity is None else GASCache(cache_capacity)
         )
@@ -494,7 +497,9 @@ class RTNNEngine:
                     leaf_size=cfg.leaf_size,
                     order=self._point_order,
                     tracer=self.tracer,
+                    mbr=self._mbr,
                 )
+                self._mbr = gas.mbr
                 self.gas_cache.insert(key, gas)
                 breakdown.bvh += gas.build_time
             else:
@@ -709,9 +714,11 @@ class RTNNEngine:
         """Replace the point set, keeping cached structures warm.
 
         When the point count is unchanged every cached GAS is *refit*
-        in place (:func:`repro.optix.gas.refit_gas`): bounds stay exact
-        over the frozen topology, so subsequent searches remain exact
-        while skipping full rebuilds. Refits decay tree quality, so
+        in place (:func:`repro.optix.gas.refit_gas`): the shared
+        point-MBR tree is refit once and every width re-derived from it,
+        so bounds stay exact over the frozen topology and subsequent
+        searches remain exact while skipping full rebuilds. Each width
+        still charges its own refit. Refits decay tree quality, so
         after the refits a watchdog compares each GAS's SAH cost with
         its build-time SAH: if any exceeds
         :data:`~repro.optix.gas.REBUILD_SAH_FACTOR` x its build SAH, or
@@ -748,6 +755,7 @@ class RTNNEngine:
         self._point_order = morton_order(pts)
         self._points_fp = fingerprint_array(pts)
         self._order_fp = fingerprint_array(self._point_order)
+        self._mbr = None
         self.gas_cache.clear()
         return refit_time
 

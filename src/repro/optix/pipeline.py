@@ -111,10 +111,12 @@ class Pipeline:
                 bulk_t2 = r2
         elif not hasattr(is_shader, "acc"):
             return None
-        gas.bvh.ensure_leaf_mbrs(gas.points)
+        # The point-MBR tree's leaf rows are exact min/max reductions
+        # over the member points (not the grown node bounds minus
+        # half_width, which can round), so the prune bounds are sound.
         return PruneSpec(
-            leaf_lo=gas.bvh.leaf_lo,
-            leaf_hi=gas.bvh.leaf_hi,
+            leaf_lo=gas.mbr.node_lo,
+            leaf_hi=gas.mbr.node_hi,
             static_t2=t2,
             bulk_t2=bulk_t2,
             worst=worst,

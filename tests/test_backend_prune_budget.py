@@ -96,8 +96,9 @@ def test_pruned_results_bit_identical(mode, variant):
 
 
 def test_pruning_survives_refits():
-    # Moving points invalidates the cached leaf MBRs; a stale cache
-    # would prune against frame-0 geometry and silently drop neighbors.
+    # Leaf MBRs are the shared point-MBR tree's leaf rows; a tree left
+    # at frame-0 positions would prune against stale geometry and
+    # silently drop neighbors.
     # Jitter steps take the refit path, the teleport step the SAH
     # watchdog's rebuild path.
     points = _clustered(300, seed=9)

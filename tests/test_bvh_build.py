@@ -46,12 +46,14 @@ def test_duplicate_points_build():
     assert bvh.n_prims == 50
 
 
-def test_leaf_of_prim_covers_all():
+def test_leaves_cover_every_prim_once():
     lo, hi = _boxes(100)
     bvh = build_lbvh(lo, hi, leaf_size=4)
-    owner = bvh.leaf_of_prim()
-    assert (owner >= 0).all()
-    assert bvh.is_leaf[owner].all()
+    leaves = np.flatnonzero(bvh.is_leaf)
+    owned = np.concatenate(
+        [bvh.prim_order[bvh.node_start[i] : bvh.node_end[i]] for i in leaves]
+    )
+    assert np.array_equal(np.sort(owned), np.arange(100))
 
 
 def test_custom_order_roundtrip():
@@ -72,6 +74,26 @@ def test_bad_inputs_rejected():
         build_lbvh(lo, hi, leaf_size=0)
     with pytest.raises(ValueError):
         build_lbvh(lo, hi, order=np.zeros(10, dtype=np.int64))  # not a perm
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 8],    # duplicate
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 10],   # out of range
+        [-1, 1, 2, 3, 4, 5, 6, 7, 8, 9],   # negative
+        [0, 1, 2, 3, 4, 5, 6, 7, 8],       # too short
+        list(range(11)),                   # too long
+    ],
+)
+def test_non_permutation_order_rejected(order):
+    lo, hi = _boxes(10)
+    with pytest.raises(ValueError, match="permutation"):
+        build_lbvh(lo, hi, order=np.array(order))
+    bvh = build_lbvh(lo, hi)
+    bvh.prim_order = np.array(order)
+    with pytest.raises(AssertionError, match="permutation"):
+        validate_bvh(bvh)
 
 
 def test_tree_stats_sane():

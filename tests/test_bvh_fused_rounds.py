@@ -246,12 +246,11 @@ def _prune(gas, shader, radius, sphere_test):
     # First-hit and plain callables carry no acceptance rule the
     # pipeline could read off; give them the range bounds so bulk
     # acceptance also runs under their terminations.
-    gas.bvh.ensure_leaf_mbrs(gas.points)
     hw2 = gas.half_width ** 2
     r2 = radius * radius
     return PruneSpec(
-        leaf_lo=gas.bvh.leaf_lo,
-        leaf_hi=gas.bvh.leaf_hi,
+        leaf_lo=gas.mbr.node_lo,
+        leaf_hi=gas.mbr.node_hi,
         static_t2=min(3.0 * hw2, r2) if sphere_test else 3.0 * hw2,
         bulk_t2=r2 if sphere_test and hw2 >= r2 else None,
     )
