@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-concurrency analyze baseline bench bench-smoke bench-check bench-test serve-smoke serve-shard-smoke true-knn-smoke workloads-smoke profile trace-demo ci
+.PHONY: test lint lint-concurrency analyze baseline bench bench-smoke bench-check bench-test verify profile trace-demo ci
 
 # Extra pytest arguments ride in PYTEST_FLAGS (CI passes --junitxml=...).
 test:
@@ -50,43 +50,15 @@ bench-check:
 bench-test:
 	$(PYTHON) -m pytest bench -q
 
-# Serving-tier load check: ~2s of seeded open-loop traffic through the
-# micro-batching service; fails on any errored request, on batch
-# occupancy never exceeding 1 (no coalescing), or on a non-bit-identical
-# spot-check vs direct engine calls.
-serve-smoke:
-	$(PYTHON) -m repro.cli serve --dataset Bunny-360K --scale 0.03 \
-	  --mode knn -k 4 --rps 300 --clients 4 --duration 2 \
-	  --window-ms 10 --seed 0 --check
-
-# Sharded-topology scale gate: the same seeded load through 1-shard and
-# 4-shard topologies; fails on any errored/expired request, on any
-# non-bit-identical cell of the knn/range x full/noopt identity matrix
-# (1-shard vs 4-shard vs the raw single engine), or on modeled-clock
-# throughput scaling below 2.5x at 4 shards.
-serve-shard-smoke:
-	$(PYTHON) -m repro.cli serve --dataset Bunny-360K --scale 0.1 \
-	  --mode knn -k 8 --radius 0.05 --rps 150 --clients 4 --duration 1 \
-	  --window-ms 5 --seed 0 --shards 4 --shard-smoke --min-scaling 2.5
-
-# Unbounded exact-kNN gate: seeded true-knn traffic served by the solo
-# engine and by 1-shard and 4-shard topologies; fails on any cell of
-# the full/noopt x 1/4-shard identity matrix that is not bit-identical
-# to BOTH the solo engine and the brute-force exact-kNN oracle, on a
-# diverging radius schedule, on incoherent relaunch counters, or on
-# any query taking more than 12 expansion rounds.
-true-knn-smoke:
-	$(PYTHON) -m repro.cli serve --dataset Bunny-360K --scale 0.1 \
-	  --mode true-knn -k 8 --seed 0 --shards 4 --true-knn-smoke \
-	  --max-rounds 12
-
-# Downstream-workloads gate: DBSCAN, directed Hausdorff, and a 5-step
-# SPH trajectory run on three serving paths (solo session, fused
-# service, 4-shard service); fails unless every output is bit-identical
-# across paths AND exactly equal to its brute-force oracle (labels,
-# witness pair, full trajectory).
-workloads-smoke:
-	$(PYTHON) -m repro.cli workload --check --shards 4 --seed 7
+# The equivalence matrix (python -m repro.verify, ~20 s): every kind
+# (knn/range/count/true_knn/budgeted) on every path (solo, fused
+# service, 1 and 4 shards, 4 shards with a killed primary) x
+# noopt/full x refit-then-search equals its oracle, rejected
+# combinations raise their typed error; plus the serving rows: open-loop
+# load with zero errors and coalescing batches, modeled-clock scaling
+# >= 2.5x at 4 shards, and DBSCAN/Hausdorff/SPH exact on every path.
+verify:
+	$(PYTHON) -m repro.verify
 
 # cProfile the fully-optimized large scenario (override with
 # PROFILE_SCENARIO=<name> to pick another suite entry).
@@ -100,4 +72,4 @@ trace-demo:
 # Everything CI gates on, in the same order as .github/workflows/ci.yml
 # runs its jobs; tests/test_ci_consistency.py cross-checks the two so
 # they cannot drift.
-ci: test analyze lint-concurrency bench-check bench-test serve-smoke serve-shard-smoke true-knn-smoke workloads-smoke
+ci: test analyze lint-concurrency bench-check bench-test verify

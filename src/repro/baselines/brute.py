@@ -6,7 +6,7 @@ O(N·Q) chunked pairwise distances; no hardware modeling. Two kernels:
   arithmetic (subtract, then reduce over the coordinate axis), so its
   rows are bit-identical to the engine's canonical rows. The true-kNN
   oracle, the degraded serving paths and the workload oracles all use
-  it.
+  it; :func:`exact_count` tallies the same distances for ``count``.
 * :func:`brute_force_range` / :func:`brute_force_knn` use the GEMM
   expansion of :func:`pairwise_sq_distances` — an independent
   reference whose distances differ from the shader's in the last bits
@@ -64,6 +64,15 @@ def brute_force_true_knn(points, queries, k: int) -> SearchResults:
     return exact_search(points, queries, k)
 
 
+def _shader_sq_dists(points: np.ndarray, queries: np.ndarray):
+    """``(start, d2)`` per query chunk: the IS shader's arithmetic
+    (subtract, then reduce over the coordinate axis)."""
+    n_q = len(queries)
+    for s in range(0, n_q, _EXACT_CHUNK):
+        diff = queries[s : s + _EXACT_CHUNK, None, :] - points[None, :, :]
+        yield s, np.einsum("qnd,qnd->qn", diff, diff)
+
+
 def exact_search(points, queries, k: int, radius: float | None = None) -> SearchResults:
     """The nearest ``<= k`` neighbors within ``radius``, shader arithmetic.
 
@@ -79,21 +88,34 @@ def exact_search(points, queries, k: int, radius: float | None = None) -> Search
     if radius is not None:
         radius = check_positive(radius, "radius")
         r2 = radius * radius
-    n_q = len(queries)
-    indices, counts, sq_d = empty_results(n_q, k)
+    indices, counts, sq_d = empty_results(len(queries), k)
     take = min(k, len(points))
-    for s in range(0, n_q, _EXACT_CHUNK):
-        block = queries[s : s + _EXACT_CHUNK]
-        diff = block[:, None, :] - points[None, :, :]
-        d2 = np.einsum("qnd,qnd->qn", diff, diff)
+    for s, d2 in _shader_sq_dists(points, queries):
         if radius is not None:
             d2 = np.where(d2 <= r2, d2, np.inf)
         order = np.argsort(d2, axis=1, kind="stable")[:, :take]
-        best = d2[np.arange(len(block))[:, None], order]
+        best = d2[np.arange(len(d2))[:, None], order]
         valid = np.isfinite(best)
         indices[s : s + _EXACT_CHUNK, :take] = np.where(valid, order, -1)
         sq_d[s : s + _EXACT_CHUNK, :take] = best
         counts[s : s + _EXACT_CHUNK] = valid.sum(axis=1)
+    return SearchResults(indices=indices, counts=counts, sq_distances=sq_d, report=None)
+
+
+def exact_count(points, queries, radius: float) -> SearchResults:
+    """Exact within-``radius`` counts, shader arithmetic.
+
+    The oracle and the fallback of ``count`` requests: the
+    :func:`exact_search` distances, tallied instead of materialized.
+    Rows are zero-width, as :meth:`RTNNEngine.count_in_radius` returns.
+    """
+    points = as_points(points, "points")
+    queries = as_points(queries, "queries")
+    radius = check_positive(radius, "radius")
+    r2 = radius * radius
+    indices, counts, sq_d = empty_results(len(queries), 0)
+    for s, d2 in _shader_sq_dists(points, queries):
+        counts[s : s + _EXACT_CHUNK] = (d2 <= r2).sum(axis=1)
     return SearchResults(indices=indices, counts=counts, sq_distances=sq_d, report=None)
 
 

@@ -4,8 +4,6 @@ Subcommands::
 
     repro search      --dataset KITTI-12M --mode knn -k 8        # or --points file.ply
     repro serve       --dataset uniform-1M --rps 200 --duration 2  # micro-batching service
-    repro serve       --dataset uniform-1M --shards 4 --shard-smoke  # sharded scale gate
-    repro workload    --check                                    # workloads smoke gate
     repro workload    --dataset uniform-1M --workload dbscan -r 0.05  # downstream pipeline
     repro trace       --dataset uniform-1M --scale 0.01          # span tree + counters
     repro datasets    [--generate NAME --out cloud.ply]
@@ -224,56 +222,21 @@ def _add_serve(sub):
     p.add_argument("--replication", type=int, default=2,
                    help="workers eligible per shard, primary + failover "
                         "replicas (default 2)")
-    p.add_argument("--shard-smoke", action="store_true",
-                   help="gate mode: run the load against 1-shard and "
-                        "--shards topologies, assert zero errors, "
-                        "bit-identical results (knn/range x full/noopt), and "
-                        "modeled-clock throughput scaling >= --min-scaling")
-    p.add_argument("--min-scaling", type=float, default=2.5,
-                   help="modeled throughput scaling the --shard-smoke gate "
-                        "requires at --shards shards (default 2.5)")
-    p.add_argument("--true-knn-smoke", action="store_true",
-                   help="gate mode: serve true-knn traffic on 1-shard and "
-                        "--shards topologies and assert bit-identity vs the "
-                        "solo engine AND the brute-force exact-kNN oracle, "
-                        "matching radius schedules, coherent relaunch "
-                        "counters, and round counts <= --max-rounds")
-    p.add_argument("--max-rounds", type=int, default=12,
-                   help="expansion-round bound the --true-knn-smoke gate "
-                        "enforces (default 12)")
-    p.add_argument("--check", action="store_true",
-                   help="smoke assertions: zero errors, occupancy > 1, and a "
-                        "bit-identical spot-check vs direct engine calls")
     p.add_argument("--json", dest="json_out", metavar="PATH",
                    help="also write the service RunReport as JSON ('-' for stdout)")
 
 
 def _cmd_serve(args) -> int:
     import asyncio
-    import json
 
     from repro.api import SearchSession
-    from repro.serve import (
-        LoadSpec,
-        ServiceConfig,
-        run_load,
-        shard_smoke,
-        shard_spot_check,
-        spot_check,
-        true_knn_smoke,
-    )
+    from repro.serve import LoadSpec, ServiceConfig, run_load
 
     _validate_point_args(args)
     if args.rps <= 0 or args.duration <= 0 or args.clients < 1:
         raise _cli_error("--rps/--duration must be positive, --clients >= 1")
     if args.shards is not None and args.shards < 1:
         raise _cli_error(f"--shards must be >= 1, got {args.shards}")
-    if args.shard_smoke and (args.shards is None or args.shards < 2):
-        raise _cli_error("--shard-smoke needs --shards >= 2")
-    if args.true_knn_smoke and (args.shards is None or args.shards < 2):
-        raise _cli_error("--true-knn-smoke needs --shards >= 2")
-    if args.max_rounds < 1:
-        raise _cli_error(f"--max-rounds must be >= 1, got {args.max_rounds}")
     if args.dataset:
         points, spec = load(args.dataset, scale=args.scale)
         radius = args.radius if args.radius else spec.radius
@@ -302,75 +265,6 @@ def _cmd_serve(args) -> int:
         seed=args.seed,
     )
 
-    if args.true_knn_smoke:
-        # Gate mode: true-knn traffic on 1-shard vs N-shard topologies,
-        # bit-identical to the solo engine and the brute-force oracle,
-        # bounded round count, coherent relaunch counters.
-        try:
-            summary = asyncio.run(
-                true_knn_smoke(
-                    points,
-                    load_spec,
-                    shards=args.shards,
-                    max_rounds=args.max_rounds,
-                    replication=args.replication,
-                )
-            )
-        except AssertionError as exc:
-            print(f"true-knn-smoke FAILED: {exc}", file=sys.stderr)
-            return 1
-        print(f"true-knn-smoke ok: {summary['shards']} shards, k="
-              f"{summary['k']}, {summary['identity_cells_checked']} identity "
-              f"cells bit-identical vs solo engine and brute oracle "
-              f"(full/noopt x 1/{summary['shards']} shards), max "
-              f"{summary['max_rounds_seen']} expansion rounds "
-              f"(gate {summary['max_rounds_gate']})")
-        if args.json_out == "-":
-            print(json.dumps(summary, indent=2))
-        elif args.json_out:
-            with open(args.json_out, "w") as fh:
-                json.dump(summary, fh, indent=2)
-                fh.write("\n")
-            print(f"summary written to {args.json_out}")
-        return 0
-
-    if args.shard_smoke:
-        # Gate mode: 1-shard vs N-shard topologies, zero errors,
-        # bit-identical results, modeled-clock scaling >= --min-scaling.
-        try:
-            summary = asyncio.run(
-                shard_smoke(
-                    points,
-                    load_spec,
-                    shards=args.shards,
-                    min_scaling=args.min_scaling,
-                    replication=args.replication,
-                    service_config=config,
-                )
-            )
-        except AssertionError as exc:
-            print(f"serve-shard-smoke FAILED: {exc}", file=sys.stderr)
-            return 1
-        print(f"serve-shard-smoke ok: {args.shards} shards, modeled "
-              f"throughput scaling {summary['scaling_modeled']:.2f}x "
-              f"(gate {args.min_scaling:g}x), "
-              f"{summary['identity_cells_checked']} identity cells "
-              f"bit-identical across knn/range x full/noopt")
-        for n, s in summary["topologies"].items():
-            o = s["outcome"]
-            print(f"  {n} shard(s): {o['completed']} completed / "
-                  f"{o['submitted']} submitted, 0 errors, fan-out mean "
-                  f"{s['fanout_mean']:.2f}, modeled makespan "
-                  f"{s['modeled_makespan_s'] * 1e3:.3f} ms")
-        if args.json_out == "-":
-            print(json.dumps(summary, indent=2))
-        elif args.json_out:
-            with open(args.json_out, "w") as fh:
-                json.dump(summary, fh, indent=2)
-                fh.write("\n")
-            print(f"summary written to {args.json_out}")
-        return 0
-
     async def drive():
         service = session.serve(
             config=config,
@@ -379,22 +273,10 @@ def _cmd_serve(args) -> int:
             replication=args.replication,
         )
         async with service:
-            outcome = await run_load(service, points, load_spec)
-            checked = 0
-            if args.check and args.shards:
-                checked = await shard_spot_check(
-                    points,
-                    load_spec,
-                    shards=args.shards,
-                    replication=args.replication,
-                )
-            elif args.check:
-                checked = await spot_check(
-                    service, session.engine, points, load_spec
-                )
-        return service, outcome, checked
+            await run_load(service, points, load_spec)
+        return service
 
-    service, outcome, checked = asyncio.run(drive())
+    service = asyncio.run(drive())
     roll = service.metrics.rollup()
 
     print(f"serve: {mode} over {len(points)} points, r={radius:g}, "
@@ -448,20 +330,6 @@ def _cmd_serve(args) -> int:
             fh.write("\n")
         print(f"report written to {args.json_out}")
 
-    if args.check:
-        failures = []
-        if outcome.errored:
-            failures.append(f"{outcome.errored} errored requests "
-                            f"({outcome.errors[:3]})")
-        if (bat["occupancy_max"] or 0) <= 1:
-            failures.append("no coalescing observed (batch occupancy never > 1)")
-        if failures:
-            for f in failures:
-                print(f"serve check FAILED: {f}", file=sys.stderr)
-            return 1
-        print(f"serve check ok: zero errors, occupancy max "
-              f"{bat['occupancy_max']}, {checked} requests spot-checked "
-              f"bit-identical vs direct engine calls")
     return 0
 
 
@@ -470,11 +338,7 @@ def _add_workload(sub):
         "workload",
         help="run a downstream workload pipeline (dbscan/hausdorff/sph)",
     )
-    p.add_argument("--check", action="store_true",
-                   help="gate mode: small DBSCAN + Hausdorff + 5-step SPH vs "
-                        "brute oracles, asserted bit-identical across the "
-                        "solo / fused-serve / --shards paths")
-    src = p.add_mutually_exclusive_group()
+    src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--points", help="point cloud file (.ply/.xyz)")
     src.add_argument("--dataset", choices=sorted(DATASETS), help="registry dataset")
     p.add_argument("--scale", type=float, default=1.0, help="registry dataset scale")
@@ -492,12 +356,11 @@ def _add_workload(sub):
     p.add_argument("--chunk-size", type=int, default=256,
                    help="hausdorff A-chunk size (default 256)")
     p.add_argument("--steps", type=int, default=5,
-                   help="sph step count (default 5; also the --check "
-                        "trajectory length)")
+                   help="sph step count (default 5)")
     p.add_argument("--dt", type=float, default=1e-3, help="sph step size")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="drive a sharded SearchService instead of the solo "
-                        "session (default: solo; --check default 4)")
+                        "session (default: solo)")
     p.add_argument("--fan", type=int, default=2,
                    help="concurrent submit chunks per serve batch (default 2)")
     p.add_argument("--seed", type=int, default=7,
@@ -510,7 +373,6 @@ def _add_workload(sub):
 
 def _cmd_workload(args) -> int:
     import contextlib
-    import json
 
     from repro.api import SearchSession
     from repro.obs import RecordingTracer, RunReport
@@ -528,35 +390,6 @@ def _cmd_workload(args) -> int:
         service_client,
     )
 
-    if args.check:
-        from repro.workloads.check import workloads_smoke
-
-        shards = args.shards if args.shards is not None else 4
-        if shards < 2:
-            raise _cli_error(f"--check needs --shards >= 2, got {shards}")
-        try:
-            summary = workloads_smoke(
-                shards=shards,
-                seed=args.seed,
-                fan=args.fan,
-                sph_steps=args.steps,
-            )
-        except AssertionError as exc:
-            print(f"workloads-smoke FAILED: {exc}", file=sys.stderr)
-            return 1
-        d, h, s = summary["dbscan"], summary["hausdorff"], summary["sph"]
-        print(f"workloads-smoke ok: paths {'/'.join(summary['paths'])} "
-              f"bit-identical and oracle-exact")
-        print(f"  dbscan: {d['clusters']} clusters, {d['noise']} noise, "
-              f"{d['rounds']} frontier rounds")
-        print(f"  hausdorff: h={h['distance']:.6g}, witness "
-              f"({h['witness'][0]}, {h['witness'][1]}), {h['pruned']} pruned")
-        print(f"  sph: {s['steps']} steps, {s['neighbor_pairs']} neighbor "
-              f"pairs, trajectories bit-identical vs brute stepper")
-        return 0
-
-    if not (args.points or args.dataset):
-        raise _cli_error("--points or --dataset is required (or --check)")
     _validate_point_args(args)
     if args.dataset:
         points, spec = load(args.dataset, scale=args.scale)

@@ -112,6 +112,17 @@ class RTNNConfig:
     step_budget: int | None = None
 
 
+#: the request kinds every search path serves (engine, service, shards)
+SEARCH_KINDS = ("knn", "range", "count", "true_knn")
+
+
+def check_kind(kind: str) -> str:
+    """``kind`` if it is one of :data:`SEARCH_KINDS`, else ValueError."""
+    if kind not in SEARCH_KINDS:
+        raise ValueError(f"kind must be one of {SEARCH_KINDS}, got {kind!r}")
+    return kind
+
+
 #: named ablation variants of Fig. 13
 VARIANTS: dict[str, RTNNConfig] = {
     "noopt": RTNNConfig(schedule=False, partition=False, bundle=False),
@@ -210,9 +221,11 @@ class RTNNEngine:
         Any-Hit terminate — so ``results.counts`` is the exact
         within-radius population (never k-capped) while
         ``results.indices``/``results.sq_distances`` are zero-width.
-        Counts are bit-checked against k-escalated ``range`` counts in
-        the test suite. The Section-8 ``approx_elide_sphere_test``
-        approximation applies exactly as it does to range search.
+        ``search_fused("count", ...)`` is the same pass over several
+        groups; ``repro.verify`` checks the counts of every serving
+        path against :func:`~repro.baselines.brute.exact_count`. The
+        Section-8 ``approx_elide_sphere_test`` approximation applies
+        exactly as it does to range search.
         """
         return self._run("count", queries, radius, 1)
 
@@ -284,13 +297,10 @@ class RTNNEngine:
         unsatisfied queries of every group through one fused bounded
         pass, so the per-group solo bit-identity guarantee carries over
         round by round. For that kind ``radius`` is the round-0 radius
-        and may be ``None`` (density-seeded).
+        and may be ``None`` (density-seeded). ``kind="count"`` returns
+        each group's :meth:`count_in_radius` answer (``k`` is unused).
         """
-        if kind not in ("range", "knn", "true_knn"):
-            raise ValueError(
-                f"kind must be 'range', 'knn' or 'true_knn', got {kind!r}"
-            )
-        if kind == "true_knn":
+        if check_kind(kind) == "true_knn":
             return self._true_knn_groups(
                 list(query_groups), radius, k, budget=budget
             )

@@ -39,7 +39,7 @@ def run(
     datasets: list[str] | None = None,
     device: DeviceSpec = RTX_2080,
     scale: float | None = None,
-    k_range: int = K_RANGE,
+    range_k: int = K_RANGE,
     k_knn: int = K_KNN,
     kinds=("range", "knn"),
 ) -> list[dict]:
@@ -54,15 +54,15 @@ def run(
         engine = _rtnn(points, device)
 
         if "range" in kinds:
-            rt = engine.range_search(queries, r, k_range)
+            rt = engine.range_search(queries, r, range_k)
             cu = CuNSearch(points, device=device)
-            cu_res = cu.range_search(queries, r, k_range)
+            cu_res = cu.range_search(queries, r, range_k)
             cu_oom = (
                 cu.modeled_memory_bytes(spec.paper_n_points, r, spec.scene_extent)
-                + spec.paper_n_points * k_range * 4
+                + spec.paper_n_points * range_k * 4
             ) > device.mem_bytes
             pcl = PCLOctree(points, device=device)
-            pcl_res = pcl.range_search(queries, r, k_range)
+            pcl_res = pcl.range_search(queries, r, range_k)
             pcl_oom = pcl.modeled_memory_bytes(spec.paper_n_points) > device.mem_bytes
             rows.append(
                 {

@@ -19,7 +19,7 @@ def run(
     datasets: list[str] | None = None,
     device: DeviceSpec = RTX_2080,
     scale: float | None = None,
-    k_range: int = 32,
+    range_k: int = 32,
     k_knn: int = 8,
     kinds=("knn", "range"),
 ) -> list[dict]:
@@ -36,7 +36,7 @@ def run(
             if kind == "knn":
                 res = engine.knn_search(points, k_knn, spec.radius)
             else:
-                res = engine.range_search(points, spec.radius, k_range)
+                res = engine.range_search(points, spec.radius, range_k)
             frac = res.report.breakdown.fractions()
             rows.append(
                 {

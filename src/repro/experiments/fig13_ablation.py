@@ -31,7 +31,7 @@ def run(
     datasets=("KITTI-12M", "NBody-9M"),
     device: DeviceSpec = RTX_2080,
     scale: float | None = None,
-    k_range: int = 32,
+    range_k: int = 32,
     k_knn: int = 8,
     kinds=("knn", "range"),
 ) -> list[dict]:
@@ -57,7 +57,7 @@ def run(
                 if kind == "knn":
                     res = engine.knn_search(points, k_knn, spec.radius)
                 else:
-                    res = engine.range_search(points, spec.radius, k_range)
+                    res = engine.range_search(points, spec.radius, range_k)
                 times[vname] = res.report.modeled_time * 1e3
             # Oracle: best a-posteriori strategy (partition on with best
             # bundling, or partition off entirely).

@@ -90,7 +90,6 @@ class UniformGrid:
         self._flat = self.flatten(self._point_cells)
         self._cells_t = None
         self._point_order = None
-        self._sorted_flat = None
         self._cell_count = None
         self._cell_start = None
         self._sat = None
@@ -103,16 +102,8 @@ class UniformGrid:
     def point_order(self) -> np.ndarray:
         """Grid-sorted original point indices (counting sort)."""
         if self._point_order is None:
-            order = np.argsort(self._flat, kind="stable")
-            self._point_order = order
-            self._sorted_flat = self._flat[order]
+            self._point_order = np.argsort(self._flat, kind="stable")
         return self._point_order
-
-    @property
-    def sorted_flat(self) -> np.ndarray:
-        """Flat cell id of each point, in ``point_order``."""
-        self.point_order
-        return self._sorted_flat
 
     @property
     def cell_count(self) -> np.ndarray:
@@ -142,10 +133,6 @@ class UniformGrid:
         """Flatten ``(M, 3)`` cell coordinates to linear cell ids."""
         nx, ny, nz = self.res
         return (idx3[:, 0] * ny + idx3[:, 1]) * nz + idx3[:, 2]
-
-    def cell_center(self, idx3: np.ndarray) -> np.ndarray:
-        """World-space centers of cells given integer coordinates."""
-        return self.lo + (np.asarray(idx3, dtype=np.float64) + 0.5) * self.cell_size
 
     # ------------------------------------------------------------------
     # contents

@@ -242,8 +242,8 @@ def _run_workload_scenario(
 
     The pipeline drives a solo :class:`~repro.api.SearchSession` (the
     bench pins the session path; cross-path bit-identity is the
-    ``workloads-smoke`` gate's job) and the record carries the workload
-    span counters, a deterministic result checksum, and a
+    ``workloads`` row of :mod:`repro.verify`) and the record carries
+    the workload span counters, a deterministic result checksum, and a
     ``workload_oracle_ok`` verdict against the brute-force oracle.
     """
     # Imported lazily: the classic engine scenarios never need the
@@ -774,53 +774,32 @@ def main(argv=None) -> int:
     payload = run_suite(suite)
 
     status = 0
-    shard_failures = check_shard_consistency(payload)
-    if shard_failures:
-        print(
-            f"bench: {len(shard_failures)} sharded/single divergence(s):",
-            file=sys.stderr,
-        )
-        for failure in shard_failures:
-            print(f"  FAIL {failure}", file=sys.stderr)
-        status = 1
-    else:
-        print("bench: sharded scenarios match their single-engine twins")
-
-    budget_failures = check_budget_consistency(payload)
-    if budget_failures:
-        print(
-            f"bench: {len(budget_failures)} budget divergence(s):",
-            file=sys.stderr,
-        )
-        for failure in budget_failures:
-            print(f"  FAIL {failure}", file=sys.stderr)
-        status = 1
-    else:
-        print("bench: budgeted twins bounded by their exact twins")
-
-    tknn_failures = check_true_knn_oracle(payload)
-    if tknn_failures:
-        print(
-            f"bench: {len(tknn_failures)} true-knn oracle divergence(s):",
-            file=sys.stderr,
-        )
-        for failure in tknn_failures:
-            print(f"  FAIL {failure}", file=sys.stderr)
-        status = 1
-    else:
-        print("bench: true-knn scenarios match the brute exact-kNN oracle")
-
-    wl_failures = check_workload_oracle(payload)
-    if wl_failures:
-        print(
-            f"bench: {len(wl_failures)} workload oracle divergence(s):",
-            file=sys.stderr,
-        )
-        for failure in wl_failures:
-            print(f"  FAIL {failure}", file=sys.stderr)
-        status = 1
-    else:
-        print("bench: workload scenarios match their brute oracles")
+    # The gates on the suite's own results: (check, line printed when
+    # it passes, failure label), in this order. Built per call so the
+    # checks are looked up when main runs.
+    gates = (
+        (check_shard_consistency,
+         "sharded scenarios match their single-engine twins",
+         "sharded/single divergence"),
+        (check_budget_consistency,
+         "budgeted twins bounded by their exact twins",
+         "budget divergence"),
+        (check_true_knn_oracle,
+         "true-knn scenarios match the brute exact-kNN oracle",
+         "true-knn oracle divergence"),
+        (check_workload_oracle,
+         "workload scenarios match their brute oracles",
+         "workload oracle divergence"),
+    )
+    for check, ok_line, label in gates:
+        failures = check(payload)
+        if failures:
+            print(f"bench: {len(failures)} {label}(s):", file=sys.stderr)
+            for failure in failures:
+                print(f"  FAIL {failure}", file=sys.stderr)
+            status = 1
+        else:
+            print(f"bench: {ok_line}")
 
     if args.baseline:
         baseline_path = Path(args.baseline)

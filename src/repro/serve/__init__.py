@@ -30,15 +30,7 @@ See ``docs/serving.md`` for the architecture and policies.
 
 from repro.serve.batcher import MicroBatch, execute_batch
 from repro.serve.faults import Fault, FaultInjector, TransientFault
-from repro.serve.loadgen import (
-    LoadOutcome,
-    LoadSpec,
-    run_load,
-    shard_smoke,
-    shard_spot_check,
-    spot_check,
-    true_knn_smoke,
-)
+from repro.serve.loadgen import LoadOutcome, LoadSpec, run_load
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.shard import HashRing, ShardedEngine, ShardWorker
 from repro.serve.queue import (
@@ -70,11 +62,7 @@ __all__ = [
     "LoadSpec",
     "LoadOutcome",
     "run_load",
-    "spot_check",
     "ShardedEngine",
     "ShardWorker",
     "HashRing",
-    "shard_smoke",
-    "shard_spot_check",
-    "true_knn_smoke",
 ]

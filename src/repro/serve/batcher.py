@@ -9,7 +9,7 @@ a compatibility key (point-set fingerprint, mode, ``k``, ``radius``);
 schedules once over the union, resolves every GAS through the shared
 cache — and still partitions/bundles *per request*, so each request's
 rows come back bit-identical to a solo engine call (asserted in
-``tests/test_serve_batcher.py`` and the serve-smoke CI job).
+``tests/test_serve_batcher.py`` and by :mod:`repro.verify`).
 
 ``batch occupancy`` (requests per launch) is the service's headline
 coalescing metric: occupancy 1 means the window never caught two

@@ -1,4 +1,4 @@
-"""Synthetic open-loop load generation and the serve smoke check.
+"""Synthetic open-loop load generation.
 
 The generator models the ROADMAP's "heavy traffic" scenario in
 miniature: ``clients`` independent open-loop arrival processes submit
@@ -10,17 +10,8 @@ fixed seed replays the same offered load). Open-loop means arrivals do
 control and micro-batching earn their keep.
 
 :func:`run_load` drives a started :class:`SearchService` and returns
-an outcome tally; :func:`spot_check` independently verifies a handful
-of concurrent submissions against direct engine calls (bit-identical
-results), which is what the ``serve-smoke`` CI job gates on.
-
-The sharded topology gets the same treatment at scale:
-:func:`shard_spot_check` audits a sharded service against both a
-1-shard topology and the raw single engine across the knn/range ×
-full/noopt request matrix, and :func:`shard_smoke` is the
-``serve-shard-smoke`` CI gate — seeded traffic through 1-shard and
-N-shard services, zero errors, bit-identical answers, and
-modeled-clock throughput scaling at least ``min_scaling``.
+an outcome tally. The gates built on it (zero errors, coalescing,
+sharded scaling) are rows of :mod:`repro.verify`.
 """
 
 from __future__ import annotations
@@ -30,10 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import RTNNConfig, RTNNEngine, VARIANTS
 from repro.serve.queue import AdmissionError, DeadlineExpired, ServeError
-from repro.serve.service import SearchService, ServiceConfig
-from repro.serve.shard import ShardedEngine
+from repro.serve.service import SearchService
 from repro.utils.rng import default_rng
 
 
@@ -132,7 +121,7 @@ async def run_load(
     """Drive ``service`` with the offered load; returns the tally.
 
     The service must already be started; it is *not* stopped here, so
-    callers can follow up with :func:`spot_check` on the same instance.
+    callers can read its metrics and report afterwards.
     """
     outcome = LoadOutcome()
     await asyncio.gather(
@@ -142,336 +131,3 @@ async def run_load(
         )
     )
     return outcome
-
-
-async def spot_check(
-    service: SearchService,
-    engine: RTNNEngine,
-    points: np.ndarray,
-    spec: LoadSpec,
-    n_requests: int = 4,
-) -> int:
-    """Bit-identity audit: concurrent submissions vs direct engine calls.
-
-    Submits ``n_requests`` known query sets concurrently (so they
-    coalesce), then replays each through a *fresh* engine over the same
-    points and asserts indices/counts/distances match exactly. Returns
-    the number of requests checked. Raises ``AssertionError`` on any
-    mismatch, or if a checked request came back degraded (the fallback
-    path is exact but not the engine path, so it would make this check
-    vacuous).
-    """
-    rng = default_rng(spec.seed + 777)
-    groups = [
-        np.clip(
-            points[rng.integers(0, len(points), spec.queries_per_request)]
-            + rng.normal(0.0, spec.radius * 0.25, (spec.queries_per_request, points.shape[1])),
-            points.min(),
-            points.max(),
-        )
-        for _ in range(n_requests)
-    ]
-    served = await asyncio.gather(
-        *(
-            service.submit(spec.mode, g, k=spec.k, radius=spec.radius)
-            for g in groups
-        )
-    )
-    for i, (g, res) in enumerate(zip(groups, served)):
-        assert not res.degraded, f"spot-check request {i} was served degraded"
-        solo = RTNNEngine(points, device=engine.device, config=engine.config)
-        if spec.mode == "knn":
-            direct = solo.knn_search(g, k=spec.k, radius=spec.radius)
-        elif spec.mode == "true_knn":
-            # The service used spec.radius as the round-0 radius, so
-            # the direct run must seed the identical schedule.
-            direct = solo.true_knn_search(g, k=spec.k, radius=spec.radius)
-        else:
-            direct = solo.range_search(g, radius=spec.radius, k=spec.k)
-        assert np.array_equal(res.indices, direct.indices), (
-            f"spot-check {i}: indices diverge from direct engine call"
-        )
-        assert np.array_equal(res.counts, direct.counts), (
-            f"spot-check {i}: counts diverge from direct engine call"
-        )
-        assert np.array_equal(res.sq_distances, direct.sq_distances), (
-            f"spot-check {i}: distances diverge from direct engine call"
-        )
-    return len(served)
-
-
-def _probe_groups(
-    points: np.ndarray, spec: LoadSpec, n_requests: int, salt: int
-) -> list[np.ndarray]:
-    """Seeded query groups reused verbatim across topologies."""
-    rng = default_rng(spec.seed + salt)
-    return [
-        np.clip(
-            points[rng.integers(0, len(points), spec.queries_per_request)]
-            + rng.normal(
-                0.0,
-                spec.radius * 0.25,
-                (spec.queries_per_request, points.shape[1]),
-            ),
-            points.min(),
-            points.max(),
-        )
-        for _ in range(n_requests)
-    ]
-
-
-async def shard_spot_check(
-    points: np.ndarray,
-    spec: LoadSpec,
-    shards: int = 4,
-    n_requests: int = 4,
-    replication: int = 2,
-) -> int:
-    """Bit-identity audit of the sharded topology, full request matrix.
-
-    For every combination of ``kind`` in {knn, range} and engine config
-    in {full, noopt}, the same seeded query groups are served by a
-    1-shard service, an ``shards``-shard service, and the raw single
-    engine. Asserts:
-
-    * 1-shard and N-shard answers are bit-identical to each other
-      (both emit the canonical ``(sq_distance, index)`` order);
-    * both match the single engine exactly — raw for KNN (rows already
-      distance-sorted), canonicalized for range (single-engine range
-      rows are in traversal-dependent discovery order);
-    * range probes run with a ``k`` escalated until no row overflows
-      it (an overflowing bounded range result is a k-subset choice,
-      not a set identity, so the check would be unsound at ``spec.k``).
-
-    Returns the number of (kind, config, request) cells audited.
-    """
-    configs = {"full": RTNNConfig(), "noopt": VARIANTS["noopt"]}
-    groups = _probe_groups(points, spec, n_requests, salt=555)
-    # Escalate the range-probe k until it captures every in-radius
-    # neighbor of every probe (counts are config-independent).
-    k_range = spec.k
-    probe = np.concatenate(groups)
-    while True:
-        counts = RTNNEngine(points).range_search(
-            probe, radius=spec.radius, k=k_range
-        ).counts
-        if int(counts.max(initial=0)) < k_range or k_range >= len(points):
-            break
-        k_range *= 2
-    checked = 0
-    for kind in ("knn", "range"):
-        k_kind = spec.k if kind == "knn" else k_range
-        for cfg_name, cfg in configs.items():
-            single = RTNNEngine(points, config=cfg)
-            served: dict[int, list] = {}
-            for n in (1, shards):
-                service = SearchService(
-                    ShardedEngine(
-                        points, n_shards=n, replication=replication, config=cfg
-                    )
-                )
-                async with service:
-                    served[n] = await asyncio.gather(
-                        *(
-                            service.submit(
-                                kind, g, k=k_kind, radius=spec.radius
-                            )
-                            for g in groups
-                        )
-                    )
-            for i, g in enumerate(groups):
-                tag = f"shard-spot {kind}/{cfg_name} request {i}"
-                a, b = served[1][i], served[shards][i]
-                assert not a.degraded and not b.degraded, f"{tag}: degraded"
-                for fld in ("indices", "counts", "sq_distances"):
-                    assert np.array_equal(
-                        getattr(a, fld), getattr(b, fld)
-                    ), f"{tag}: {fld} diverge between 1 and {shards} shards"
-                if kind == "knn":
-                    direct = single.knn_search(g, k=k_kind, radius=spec.radius)
-                else:
-                    direct = single.range_search(
-                        g, radius=spec.radius, k=k_kind
-                    ).canonical()
-                    assert int(direct.counts.max(initial=0)) < k_kind, (
-                        f"{tag}: range rows overflow k; raise k for a sound check"
-                    )
-                assert np.array_equal(b.indices, direct.indices), (
-                    f"{tag}: indices diverge from single engine"
-                )
-                assert np.array_equal(b.counts, direct.counts), (
-                    f"{tag}: counts diverge from single engine"
-                )
-                assert np.array_equal(b.sq_distances, direct.sq_distances), (
-                    f"{tag}: distances diverge from single engine"
-                )
-                checked += 1
-    return checked
-
-
-async def true_knn_smoke(
-    points: np.ndarray,
-    spec: LoadSpec,
-    shards: int = 4,
-    n_requests: int = 4,
-    max_rounds: int = 12,
-    replication: int = 2,
-) -> dict:
-    """The ``true-knn-smoke`` gate: unbounded-kNN identity matrix.
-
-    For each engine config in {full, noopt}, the same seeded query
-    groups are served as ``true_knn`` (density-seeded radius) by a
-    1-shard service and a ``shards``-shard service, and run directly
-    through a solo engine. Asserts, per cell:
-
-    * served answers (both topologies), the solo engine, and the
-      brute-force unbounded oracle are all bit-identical
-      (indices, counts, squared distances);
-    * the expansion converged within ``max_rounds`` rounds, on the
-      solo run and on every served batch;
-    * only unsatisfied queries re-launch: each round's launch count
-      equals the previous round's launches minus its satisfied count
-      (asserted on the solo convergence counters and on the served
-      batch counters — the recurrence holds for fused batches too);
-    * solo and sharded runs walk the same radius schedule (the solo
-      run's per-round radii are a prefix of any fused batch's).
-
-    Returns the gate summary dict (what the CLI prints as JSON).
-    """
-    from repro.baselines.brute import brute_force_true_knn
-
-    def check_relaunch_counters(tk: dict, tag: str) -> None:
-        assert tk["converged"], f"{tag}: expansion did not converge"
-        assert tk["rounds"] <= max_rounds, (
-            f"{tag}: {tk['rounds']} rounds exceeds the {max_rounds} gate"
-        )
-        for j in range(1, tk["rounds"]):
-            expect = tk["relaunched"][j - 1] - tk["satisfied"][j - 1]
-            assert tk["relaunched"][j] == expect, (
-                f"{tag}: round {j} launched {tk['relaunched'][j]} queries, "
-                f"expected exactly the {expect} still unsatisfied"
-            )
-        assert sum(tk["satisfied"]) == tk["relaunched"][0], (
-            f"{tag}: satisfied counts do not account for every query"
-        )
-
-    configs = {"full": RTNNConfig(), "noopt": VARIANTS["noopt"]}
-    groups = _probe_groups(points, spec, n_requests, salt=999)
-    oracles = [brute_force_true_knn(points, g, k=spec.k) for g in groups]
-    cells = 0
-    max_rounds_seen = 0
-    for cfg_name, cfg in configs.items():
-        solo = RTNNEngine(points, config=cfg)
-        served: dict[int, list] = {}
-        for n in (1, shards):
-            service = SearchService(
-                ShardedEngine(
-                    points, n_shards=n, replication=replication, config=cfg
-                )
-            )
-            async with service:
-                served[n] = await asyncio.gather(
-                    *(
-                        service.submit("true_knn", g, k=spec.k)
-                        for g in groups
-                    )
-                )
-        for i, g in enumerate(groups):
-            tag = f"true-knn-smoke {cfg_name} request {i}"
-            direct = solo.true_knn_search(g, k=spec.k)
-            tk = direct.report.extras["true_knn"]
-            check_relaunch_counters(tk, f"{tag} (solo)")
-            max_rounds_seen = max(max_rounds_seen, tk["rounds"])
-            for n in (1, shards):
-                res = served[n][i]
-                assert not res.degraded, f"{tag}: served degraded ({n} shards)"
-                for fld in ("indices", "counts", "sq_distances"):
-                    got = getattr(res, fld)
-                    assert np.array_equal(got, getattr(direct, fld)), (
-                        f"{tag}: {fld} diverge from solo engine ({n} shards)"
-                    )
-                    assert np.array_equal(got, getattr(oracles[i], fld)), (
-                        f"{tag}: {fld} diverge from brute oracle ({n} shards)"
-                    )
-                stk = res.results.report.extras["true_knn"]
-                check_relaunch_counters(stk, f"{tag} ({n} shards, batch)")
-                prefix = stk["round_radii"][: tk["rounds"]]
-                assert prefix == tk["round_radii"], (
-                    f"{tag}: radius schedule diverges at {n} shards"
-                )
-            cells += 1
-    return {
-        "shards": shards,
-        "k": spec.k,
-        "identity_cells_checked": cells,
-        "max_rounds_seen": max_rounds_seen,
-        "max_rounds_gate": max_rounds,
-    }
-
-
-async def shard_smoke(
-    points: np.ndarray,
-    spec: LoadSpec,
-    shards: int = 4,
-    min_scaling: float = 2.5,
-    replication: int = 2,
-    service_config: ServiceConfig | None = None,
-) -> dict:
-    """The ``serve-shard-smoke`` gate: load, identity, scaling.
-
-    Runs the seeded open-loop load through a 1-shard and an
-    ``shards``-shard topology behind identical service fronts, then:
-
-    * asserts zero serve errors and zero deadline expiries on both;
-    * runs :func:`shard_spot_check` (bit-identity across the
-      knn/range × full/noopt matrix, including 1-vs-N agreement);
-    * computes modeled-clock throughput (engine-side queries per
-      modeled makespan second — the busiest worker defines completion
-      on the modeled clock) and asserts the N-shard topology scales by
-      at least ``min_scaling``.
-
-    Returns the gate summary dict (also what the CLI prints as JSON).
-    """
-    service_config = service_config or ServiceConfig(max_queue_depth=4096)
-    stats: dict[int, dict] = {}
-    for n in (1, shards):
-        engine = ShardedEngine(points, n_shards=n, replication=replication)
-        service = SearchService(engine, config=service_config)
-        async with service:
-            outcome = await run_load(service, points, spec)
-        assert outcome.errored == 0, (
-            f"{n}-shard load: {outcome.errored} serve errors "
-            f"({outcome.errors[:3]})"
-        )
-        assert outcome.expired == 0, (
-            f"{n}-shard load: {outcome.expired} deadline expiries"
-        )
-        makespan = engine.modeled_makespan_s
-        queries = engine.fanout_queries
-        assert queries > 0 and makespan > 0.0, f"{n}-shard load served nothing"
-        stats[n] = {
-            "outcome": outcome.as_dict(),
-            "modeled_makespan_s": makespan,
-            "engine_queries": queries,
-            "throughput_qps_modeled": queries / makespan,
-            "fanout_mean": engine.fanout_visits / queries,
-            "service": service.report().extras["service"],
-        }
-    checked = await shard_spot_check(
-        points, spec, shards=shards, replication=replication
-    )
-    scaling = (
-        stats[shards]["throughput_qps_modeled"]
-        / stats[1]["throughput_qps_modeled"]
-    )
-    assert scaling >= min_scaling, (
-        f"modeled-clock throughput scaling {scaling:.2f}x at {shards} shards "
-        f"is below the {min_scaling:.2f}x gate"
-    )
-    return {
-        "shards": shards,
-        "scaling_modeled": scaling,
-        "min_scaling": min_scaling,
-        "identity_cells_checked": checked,
-        "topologies": {str(n): s for n, s in stats.items()},
-    }

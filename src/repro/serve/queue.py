@@ -55,7 +55,7 @@ class SearchRequest:
     """
 
     rid: int
-    kind: str                   # "knn" | "range" | "true_knn"
+    kind: str                   # one of repro.core.engine.SEARCH_KINDS
     queries: object             # (N, d) float64 array
     k: int
     radius: float

@@ -37,7 +37,8 @@ import asyncio
 import time
 from dataclasses import dataclass
 
-from repro.baselines.brute import exact_search
+from repro.baselines.brute import exact_count, exact_search
+from repro.core.engine import check_kind
 from repro.core.expansion import reject_step_budget
 from repro.core.results import SearchResults
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -263,8 +264,9 @@ class SearchService:
 
         ``kind="true_knn"`` serves exact unbounded kNN; its ``radius``
         is the round-0 radius of the expansion schedule and may be
-        omitted (density-seeded). For ``knn``/``range`` the radius is
-        required.
+        omitted (density-seeded). For ``knn``/``range``/``count`` the
+        radius is required; ``count`` returns exact within-radius
+        counts with zero-width rows (its ``k`` only keys the batch).
 
         ``budget`` caps traversal node pops per ray (approximate mode);
         the result's ``report.extras["budget"]`` then carries an
@@ -278,10 +280,7 @@ class SearchService:
         service shuts down without draining. Cancelling the awaitable
         withdraws the request.
         """
-        if kind not in ("knn", "range", "true_knn"):
-            raise ValueError(
-                f"kind must be 'knn', 'range' or 'true_knn', got {kind!r}"
-            )
+        check_kind(kind)
         queries = as_points(queries, "queries")
         k = check_positive_int(k, "k")
         if radius is None:
@@ -494,12 +493,15 @@ class SearchService:
     def _fallback(self, batch: MicroBatch) -> list[SearchResults]:
         """The degraded path: exact search, one request at a time.
 
-        :func:`~repro.baselines.brute.exact_search` uses the shader's
+        :func:`~repro.baselines.brute.exact_search` (and its tally,
+        :func:`~repro.baselines.brute.exact_count`) uses the shader's
         arithmetic, so degraded rows equal the healthy engine's
         canonical rows bit for bit.
         """
         return [
-            exact_search(
+            exact_count(self.engine.points, req.queries, req.radius)
+            if req.kind == "count"
+            else exact_search(
                 self.engine.points,
                 req.queries,
                 req.k,

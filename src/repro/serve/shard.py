@@ -50,8 +50,8 @@ points — answers stay bit-identical, the affected requests are flagged
 the modeled seconds of the sub-launches it executed, and the
 topology's *makespan* is the busiest worker's total. Throughput on the
 modeled clock is queries served per makespan second — the quantity the
-``serve-shard-smoke`` gate requires to scale ≥ 2.5x from 1 to 4
-shards.
+``shard-smoke`` row of :mod:`repro.verify` requires to scale ≥ 2.5x
+from 1 to 4 shards.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.brute import exact_search
+from repro.baselines.brute import exact_count, exact_search
 from repro.core.cache import fingerprint_array
-from repro.core.engine import RTNNConfig, RTNNEngine
+from repro.core.engine import RTNNConfig, RTNNEngine, check_kind
 from repro.core.expansion import (
     DEFAULT_POLICY,
     ExpansionPolicy,
@@ -445,12 +445,12 @@ class ShardedEngine:
         radius, so boundary queries fan out to exactly the shards the
         grown ball can reach. ``radius`` is then the round-0 radius and
         may be ``None`` (density-seeded from the full cloud).
+
+        ``kind="count"`` sums each query's per-shard counts over the
+        scatter plan: the shards partition the points, and every shard
+        a query skips provably holds none of its neighbors.
         """
-        if kind not in ("range", "knn", "true_knn"):
-            raise ValueError(
-                f"kind must be 'range', 'knn' or 'true_knn', got {kind!r}"
-            )
-        if kind == "true_knn":
+        if check_kind(kind) == "true_knn":
             return self._true_knn_fused(
                 list(query_groups), radius, k, budget=budget
             )
@@ -469,7 +469,7 @@ class ShardedEngine:
         k: int,
         budget: int | None = None,
     ) -> list[SearchResults]:
-        """One validated bounded scatter-gather pass (``knn``/``range``)."""
+        """One validated bounded scatter-gather pass (not ``true_knn``)."""
         plans = self._scatter_plans(groups, radius)
         calls = self._build_calls(groups, plans)
         routes, failover_delta = self._route(calls)
@@ -483,7 +483,10 @@ class ShardedEngine:
             any(len(plans[gi][sid]) for sid in brute_shards)
             for gi in range(len(groups))
         ]
-        results = self._gather(groups, plans, calls, outcomes, k)
+        if kind == "count":
+            results = self._gather_counts(groups, calls, outcomes)
+        else:
+            results = self._gather(groups, calls, outcomes, k)
 
         # brute fallbacks carry no report: unmodeled, exact
         report = RunReport.combine(
@@ -715,14 +718,9 @@ class ShardedEngine:
         for wid, sid, call in routed:
             worker = self.workers[wid]
             engine = worker.engine_for(self.shards[sid])
-            if kind == "knn":
-                res = engine.knn_search(
-                    call.queries, k=k, radius=radius, budget=budget
-                )
-            else:
-                res = engine.range_search(
-                    call.queries, radius=radius, k=k, budget=budget
-                )
+            res = engine.search_fused(
+                kind, [call.queries], radius=radius, k=k, budget=budget
+            )[0]
             worker.busy_s += res.report.modeled_time
             worker.launches += 1
             outcomes[sid] = res
@@ -732,7 +730,11 @@ class ShardedEngine:
         for call, wid in zip(calls, routes):
             if wid is None:
                 pts = self.points[self.shards[call.shard_id].point_ids]
-                outcomes[call.shard_id] = exact_search(pts, call.queries, k, radius)
+                outcomes[call.shard_id] = (
+                    exact_count(pts, call.queries, radius)
+                    if kind == "count"
+                    else exact_search(pts, call.queries, k, radius)
+                )
         return outcomes
 
     # ------------------------------------------------------------------
@@ -763,7 +765,6 @@ class ShardedEngine:
     def _gather(
         self,
         groups: list[np.ndarray],
-        plans: list[list[np.ndarray]],
         calls: list[_ShardCall],
         outcomes: dict[int, SearchResults],
         k: int,
@@ -797,6 +798,24 @@ class ShardedEngine:
                 continue
             idx, counts, d2 = self._merge_rows(*mats[gi], k)
             results.append(SearchResults(idx, counts, d2))
+        return results
+
+    @staticmethod
+    def _gather_counts(
+        groups: list[np.ndarray],
+        calls: list[_ShardCall],
+        outcomes: dict[int, SearchResults],
+    ) -> list[SearchResults]:
+        """Per group, the sum of its queries' per-shard counts."""
+        counts = [np.zeros(len(g), dtype=np.int64) for g in groups]
+        for call in calls:
+            sub = outcomes[call.shard_id].counts
+            for gi, rows, start in call.segments:
+                counts[gi][rows] += sub[start : start + len(rows)]
+        results = []
+        for c in counts:
+            idx, _, d2 = empty_results(len(c), 0)
+            results.append(SearchResults(idx, c, d2))
         return results
 
     # ------------------------------------------------------------------

@@ -10,8 +10,7 @@ clients, both exposing the same five-method surface —
   :class:`~repro.serve.service.SearchService` (solo or sharded). Each
   logical query batch is split into ``fan`` chunks submitted
   concurrently, so the service's micro-batcher genuinely fuses them
-  into one engine pass. Aggregate counts ride on k-escalated range
-  submits (the service has no count request kind).
+  into one engine pass.
 
 Both clients return the engine's exact answers; workloads that consume
 row *content* (not just sets/counts) must first pass results through
@@ -96,16 +95,10 @@ class ServiceClient:
 
     The service's event loop runs on a dedicated background thread;
     every batch is split into ``fan`` chunks submitted concurrently and
-    gathered on that loop, then reassembled in chunk order. Counts are
-    derived by k-escalated range submits: double ``k`` until no row
-    saturates (mirroring the shard spot-check in the load generator),
-    at which point every count is exact.
+    gathered on that loop, then reassembled in chunk order.
     """
 
     kind = "service"
-
-    #: starting k of the count escalation
-    COUNT_K0 = 8
 
     def __init__(self, service, loop, points, fan: int = 2):
         self._service = service
@@ -148,13 +141,7 @@ class ServiceClient:
         )
 
     def count(self, queries, radius: float) -> np.ndarray:
-        n_pts = len(self._points)
-        k = min(self.COUNT_K0, max(n_pts, 1))
-        while True:
-            counts = self._fanned("range", queries, k, radius).counts
-            if len(counts) == 0 or counts.max() < k or k >= n_pts:
-                return counts.copy()
-            k = min(2 * k, n_pts)
+        return self._fanned("count", queries, 1, radius).counts
 
     def range(self, queries, radius: float, k: int) -> SearchResults:
         return self._fanned("range", queries, k, radius)

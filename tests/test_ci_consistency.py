@@ -112,29 +112,38 @@ def test_matrix_covers_python_313_and_uploads_junit():
     )
 
 
+def _verify_is_wired():
+    assert "verify" in _ci_prerequisites()
+    assert "verify" in _job_names()
+    assert re.search(r"^verify:\n\t\$\(PYTHON\) -m repro\.verify$",
+                     MAKEFILE.read_text(), re.MULTILINE)
+
+
 def test_shard_smoke_gate_is_wired():
-    assert "serve-shard-smoke" in _ci_prerequisites()
-    assert "serve-shard-smoke" in _job_names()
-    make_text = MAKEFILE.read_text()
-    assert "--shard-smoke" in make_text
-    assert "--min-scaling 2.5" in make_text
+    # The shard-smoke row of the verify matrix: 4-shard scaling >= 2.5x.
+    import repro.verify as verify
+
+    _verify_is_wired()
+    assert ("shard-smoke", verify.shard_smoke) in verify.ROWS
+    assert verify.SHARDS == 4
+    assert verify.MIN_SCALING == 2.5
 
 
 def test_true_knn_smoke_gate_is_wired():
-    assert "true-knn-smoke" in _ci_prerequisites()
-    assert "true-knn-smoke" in _job_names()
-    make_text = MAKEFILE.read_text()
-    assert "--true-knn-smoke" in make_text
-    assert "--mode true-knn" in make_text
-    assert "--max-rounds 12" in make_text
-    assert "--shards 4" in make_text
+    # The true_knn cells: every path, at most 12 expansion rounds.
+    import repro.verify as verify
+
+    _verify_is_wired()
+    assert verify.MAX_ROUNDS == 12
+    assert {c.path for c in verify.MATRIX if c.kind == "true_knn"} == set(
+        verify.PATH_RUNNERS
+    )
+    assert {"sh4", "sh4-killed"} <= set(verify.PATH_RUNNERS)
 
 
 def test_workloads_smoke_gate_is_wired():
-    assert "workloads-smoke" in _ci_prerequisites()
-    assert "workloads-smoke" in _job_names()
-    make_text = MAKEFILE.read_text()
-    # The gate is the CLI's self-checking path: oracles + cross-path
-    # bit-identity over a sharded topology.
-    assert re.search(r"workload\s+--check", make_text)
-    assert re.search(r"workloads-smoke:\n\t.*--shards 4", make_text)
+    # The workloads row: oracles + cross-path bit-identity at 4 shards.
+    import repro.verify as verify
+
+    _verify_is_wired()
+    assert ("workloads", verify.workloads) in verify.ROWS

@@ -248,6 +248,21 @@ def test_retry_exhaustion_degrades_to_exact_brute_fallback(world):
             assert np.array_equal(r.sq_distances, ref.sq_distances), offset
 
 
+def test_degraded_count_equals_the_engine_count(world):
+    points, queries = world
+
+    async def scenario():
+        faults = FaultInjector(error_rate=1.0, seed=7)
+        async with _service(points, faults=faults, max_attempts=1) as service:
+            return await service.submit("count", queries[0], k=1, radius=RADIUS)
+
+    res = asyncio.run(scenario())
+    assert res.degraded
+    ref = RTNNEngine(points).count_in_radius(queries[0], RADIUS)
+    assert np.array_equal(res.counts, ref.counts)
+    assert res.indices.shape == ref.indices.shape == (len(queries[0]), 0)
+
+
 def test_fault_pattern_deterministic_under_fixed_seed(world):
     points, queries = world
 

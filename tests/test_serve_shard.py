@@ -1,8 +1,8 @@
 """The sharded serving tier: placement, scatter-gather bit-identity,
 fan-out pruning, deterministic failover, and service integration.
 
-The contract under test is the one the ``serve-shard-smoke`` CI gate
-enforces at scale: any sharded topology — 1 shard, N shards, degraded
+The contract under test is the one the sharded paths of the
+``repro.verify`` matrix enforce: any sharded topology — 1 shard, N shards, degraded
 replicas, dead workers — produces answers bit-identical to the
 single-engine path, because the merge is a canonical ``(sq_distance,
 index)`` order that depends only on candidate values. Fault scenarios
@@ -23,12 +23,10 @@ from repro.serve import (
     Fault,
     FaultInjector,
     HashRing,
-    LoadSpec,
     SearchService,
     ServiceConfig,
     ShardedEngine,
     ShardWorker,
-    shard_spot_check,
 )
 from repro.utils.rng import default_rng
 
@@ -474,13 +472,21 @@ def test_killed_shard_mid_batch_surfaces_in_service_metrics(world):
     assert service.metrics.rollup()["shard"]["brute_shards"] == 1
 
 
-def test_shard_spot_check_passes(world):
-    points, _ = world
-    spec = LoadSpec(k=K, radius=RADIUS, queries_per_request=8, seed=3)
-    checked = asyncio.run(
-        shard_spot_check(points, spec, shards=4, n_requests=2)
+@pytest.mark.parametrize("replication", [1, 2])
+def test_sharded_count_sums_shard_counts_through_any_fallback(world, replication):
+    """Native count: per-shard counts summed over the scatter plan equal
+    the solo engine's, also when a dead shard is counted brute."""
+    points, queries = world
+    solo = RTNNEngine(points).count_in_radius(queries, RADIUS)
+    sh = ShardedEngine(points, n_shards=4, replication=replication)
+    sh.kill_worker(sh.preference[0][0])
+    res = sh.search_fused("count", [queries[:20], queries[20:]], RADIUS, k=1)
+    assert np.array_equal(np.concatenate([r.counts for r in res]), solo.counts)
+    assert res[0].indices.shape == (20, 0)
+    shard = res[0].report.extras["shard"]
+    assert (shard["brute_shards"], shard["failovers"]) == (
+        (1, 0) if replication == 1 else (0, 1)
     )
-    assert checked == 2 * 2 * 2  # kinds x configs x requests
 
 
 @pytest.mark.parametrize("kill_one", [False, True])

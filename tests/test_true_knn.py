@@ -1,11 +1,12 @@
 """Unbounded exact kNN: the adaptive radius-expansion loop.
 
-The contract under test is the one the ``true-knn-smoke`` CI gate and
-the ``*-tknn`` bench families enforce: ``true_knn_search`` returns the
-*exact* k nearest neighbors of every query — bit-identical to the
-brute-force oracle — regardless of engine variant or sharded topology,
-re-launching only still-unsatisfied queries each round, on a radius
-schedule that is a pure function of (points, k, policy).
+The contract under test is the one the ``true_knn`` cells of the
+``repro.verify`` matrix and the ``*-tknn`` bench families enforce:
+``true_knn_search`` returns the *exact* k nearest neighbors of every
+query — bit-identical to the brute-force oracle — regardless of engine
+variant or sharded topology, re-launching only still-unsatisfied
+queries each round, on a radius schedule that is a pure function of
+(points, k, policy).
 
 On clouds in generic position (random float64) identity is raw bitwise
 equality of indices, counts and squared distances. At exact distance

@@ -2,8 +2,7 @@
 
 Covers the three pipelines (DBSCAN, directed Hausdorff, SPH stepper)
 against their brute-force oracles — exact equality, not tolerances —
-their cross-path bit-identity (solo session vs fused service vs sharded
-service), the aggregate-only ``count_in_radius`` fast path, the
+the aggregate-only ``count_in_radius`` fast path, the
 ``with_config`` unknown-field guard, sustained ``update_points``
 traffic, and the session-only engine-access discipline of the
 workloads package itself.
@@ -37,7 +36,7 @@ from repro.workloads import (
     run_hausdorff,
     run_sph,
 )
-from repro.workloads.check import clustered_cloud, workloads_smoke
+from repro.verify import clustered_cloud
 
 coords = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 clouds = hnp.arrays(
@@ -291,18 +290,6 @@ def test_sph_spans_record_steps():
     totals = tracer.total_counters()
     assert totals["sph_steps"] == 3
     assert totals["neighbor_pairs"] == out.stats["neighbor_pairs"]
-
-
-# ----------------------------------------------------------------------
-# cross-path bit-identity (solo vs fused vs sharded serving)
-# ----------------------------------------------------------------------
-def test_workloads_bit_identical_across_serving_paths():
-    summary = workloads_smoke(
-        n_points=120, n_queries=60, shards=2, seed=3, sph_steps=3
-    )
-    assert summary["paths"] == ["solo", "fused", "sh2"]
-    assert summary["dbscan"]["clusters"] >= 1
-    assert summary["sph"]["steps"] == 3
 
 
 # ----------------------------------------------------------------------
