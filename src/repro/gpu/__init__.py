@@ -7,7 +7,7 @@ that hardware with a mechanistic model:
 * :mod:`repro.gpu.cache` — sampled set-associative LRU cache hierarchy
   (L1 per SM, shared L2) fed by the traversal engine's memory tracer
   hook; produces the hit rates of Fig. 6;
-* :mod:`repro.gpu.replay` — vectorized reuse-distance replay of a
+* :mod:`repro.gpu.replay` — vectorized threshold LRU replay of a
   recorded line stream, bit-identical to the online LRU simulation;
 * :mod:`repro.gpu.costmodel` — converts hardware counters (warp steps,
   IS calls, transactions, AABB counts, bytes moved) into modeled GPU

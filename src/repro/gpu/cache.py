@@ -16,7 +16,7 @@ Two tracer implementations share the sampling policy:
 
 * :class:`SampledCacheTracer` (default) only *records* the sampled
   block's line stream during traversal and derives hit/miss counts
-  afterwards via the vectorized reuse-distance replay in
+  afterwards via the vectorized threshold LRU replay in
   :mod:`repro.gpu.replay` — exact by the LRU stack-inclusion property.
 * :class:`OnlineSampledCacheTracer` pushes every line through the
   Python-level LRU as it arrives. It is the reference implementation
@@ -185,7 +185,7 @@ class SampledCacheTracer(_WarpBlockSampler):
     argument. During traversal the hooks only *append* the sampled
     block's line addresses (cheap NumPy slicing); :meth:`finalize` then
     computes the per-level hit/miss counts with the vectorized
-    reuse-distance replay — bit-identical to running the stream through
+    threshold LRU replay — bit-identical to running the stream through
     :class:`CacheHierarchy` online, at a fraction of the cost.
 
     Every lane request enters the stream (requests are what profilers

@@ -1,169 +1,138 @@
 """Vectorized replay of a recorded cache-access stream.
 
-The sampled cache tracer used to push every line address through a
-Python-level set-associative LRU (:class:`repro.gpu.cache._SetAssociativeLRU`)
-*during* traversal — hundreds of thousands of interpreter-speed
-``access()`` calls per launch.  This module computes the exact same
-hit/miss counts *after* the launch from the recorded stream, entirely in
-NumPy.
+The sampled cache tracer records the sampled warp block's line
+addresses during traversal; this module computes the exact hit/miss
+counts afterwards from that stream, entirely in NumPy. The result is
+bit-identical to pushing the stream through the per-access LRU
+(:class:`repro.gpu.cache._SetAssociativeLRU`, kept as the test oracle).
 
 Correctness rests on the classic LRU **stack-inclusion property**: an
 access to line ``X`` hits a ``W``-way set iff fewer than ``W`` distinct
 other lines of the same set were touched since the previous access to
-``X`` (a first-ever access always misses).  That count is the
-set-associative *reuse distance*, and it is computed here without any
-per-access Python work:
+``X`` (a first-ever access always misses). Only that threshold matters,
+never the full reuse distance. Write ``p = prev(a)`` for the previous
+use of ``a``'s line among its set's accesses. A line counts in the
+window ``(p, a)`` exactly at its first access there, the one access
+``b`` of that line with ``prev(b) < p``, so::
 
-1. **Global run collapse** — consecutive accesses to the same line
-   have reuse distance 0 and always hit (``W >= 1``); only run heads
-   need a real distance.
-2. **Set grouping and set-local run collapse** — a stable sort by set
-   makes each set's subsequence contiguous.  Within a set, an access
-   whose previous *same-set* access touched the same line also has
-   distance 0 (nothing of its set intervened), and dropping it is
-   exact for every survivor: only whole same-line runs sit between
-   consecutive surviving occurrences of a line, so no surviving
-   window gains or loses a distinct line.  Warp-coherent streams
-   interleave sets heavily, so this is where the stream collapses
-   (typically 10-20x).
-3. **Previous-use links** — one stable sort by (set, line) makes
-   consecutive occurrences of a line adjacent, yielding each access's
-   previous use as a *set-local* position (``-1`` = first use).
-4. **Reuse distance as an order statistic** — writing ``p(a)`` for the
-   set-local position of ``a``'s previous use, a line counts toward
-   ``a``'s distance iff its *first* access inside the window
-   ``(p(a), a)`` lies there, and an access ``b`` is such a first
-   access iff ``p(b) <= p(a)``.  Splitting the window at ``p(a)``
-   (every access at or before ``p(a)`` trivially satisfies ``p(b) < b
-   <= p(a)``) gives::
+    a hits  iff  #{b in (p, a) : prev(b) < p} < W
 
-       distance(a) = #{b < a, same set, p(b) < p(a)} - (p(a) + 1)
+:func:`lru_hit_mask` decides that without per-access Python work:
 
-   The remaining term is a segmented "count smaller elements to the
-   left", evaluated exactly by a top-down vectorized merge-split
-   (:func:`_segmented_left_smaller`): one stable sort up front, then
-   ``log2(segment length)`` levels of pure cumsum/scatter arithmetic.
+1. **Set grouping and run collapse** — a stable sort by set makes each
+   set's accesses contiguous, in stream order. An access repeating its
+   set's previous line has an empty window and hits. Dropping it is
+   exact for every other access: only whole same-line runs sit between
+   consecutive survivors of a line, so no window gains or loses a
+   distinct line.
+2. **Previous-use links** — a stable sort by line makes consecutive
+   uses of a line adjacent, giving each survivor its ``prev``.
+3. **Cheap decisions** — the windows are sorted by length. One shorter
+   than ``W`` is a hit with no counting. An access ``b`` whose own
+   previous use lies at least ``G >= a - p`` positions back has
+   ``prev(b) < p``, so one prefix count per power of two ``G`` (each
+   serving a contiguous slice of the sorted windows) proves most of the
+   rest misses.
+4. **Bounded scan** — the undecided windows step backwards from ``a``
+   one offset at a time, all at once. A window leaves as a hit when it
+   runs out (a prefix slice, thanks to the sort) and as a miss once its
+   count reaches ``W`` (dropped every ``W`` steps).
+
+Every sort takes a 16-bit key where one fits, which NumPy sorts by
+radix: set ids, window lengths, and line tags (``line // n_sets``, with
+empty value ranges folded away; node and primitive lines sit ``2**40``
+apart). The set always comes from the true line.
 
 The L2 stream is the subsequence of L1 misses, replayed the same way,
-so the whole hierarchy stays bit-identical to the online simulation
-(asserted against the retained online LRU in ``tests/test_gpu_replay.py``).
+so the whole hierarchy matches the online simulation exactly (asserted
+in ``tests/test_gpu_replay.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: keep chained (group, value) sort keys comfortably inside int64
-_KEY_LIMIT = 1 << 62
+#: keys below this span sort as uint16, which NumPy radix-sorts
+_RADIX_SPAN = 1 << 16
 
 
-def _segmented_left_smaller(
-    seg: np.ndarray, pos: np.ndarray, val: np.ndarray
-) -> np.ndarray:
-    """Per-element count of strictly-smaller values earlier in its segment.
+def _stable_argsort(key: np.ndarray, span: int) -> np.ndarray:
+    """Stable argsort of non-negative integer keys below ``span``."""
+    if span <= _RADIX_SPAN:
+        key = key.astype(np.uint16)
+    return np.argsort(key, kind="stable")
 
-    Parameters
-    ----------
-    seg:
-        Segment id per element (comparisons never cross segments).
-    pos:
-        Dense 0-based position of the element *within its segment*.
-    val:
-        Comparison values. Ties are counted as if broken by ``pos`` —
-        exact whenever the values relevant to the caller are distinct
-        (the replay's are; see :func:`lru_hit_mask`).
 
-    Returns
-    -------
-    ``counts`` with ``counts[a] = #{b : seg[b] == seg[a],
-    pos[b] < pos[a], val[b] < val[a]}``.
+def _fold(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Order-preserving map of ``values`` onto ``[0, span)``.
 
-    Vectorized merge-sort pair counting, run top-down: one global
-    stable sort by ``(seg, val)`` up front, then each level splits
-    every width-``2w`` block of a segment into its position-halves with
-    pure O(n) arithmetic — the halves of a ``(seg, block, val)``-sorted
-    run are extracted by a stable partition (cumsums + one scatter),
-    and "left-half elements with smaller value" is a segmented running
-    count in that same order. Every in-segment pair ``(b, a)`` is
-    counted at exactly the level where their blocks first split. No
-    per-level sort or binary search, which is what makes the replay
-    cheaper than the online simulation it replaces.
+    While the span is wider than a radix key, the empty range between
+    the values below and above the midpoint is closed. Distinct values
+    stay distinct, so sorting the result groups equal values exactly as
+    sorting ``values`` would.
     """
-    n = len(seg)
-    counts = np.zeros(n, dtype=np.int64)
-    if n < 2:
-        return counts
-    seg = np.ascontiguousarray(seg, dtype=np.int64)
-    pos = np.ascontiguousarray(pos, dtype=np.int64)
-    max_len = int(pos.max()) + 1
-    if max_len < 2:
-        return counts
-
-    v = np.asarray(val, dtype=np.int64) - int(val.min())
+    v = values - values.min()
     span = int(v.max()) + 1
-    if (int(seg.max()) + 1) * span >= _KEY_LIMIT:
-        v = np.unique(v, return_inverse=True)[1].astype(np.int64)
-        span = int(v.max()) + 1
-    order = np.argsort(seg * span + v, kind="stable")
+    while span > _RADIX_SPAN:
+        upper = v >= span // 2
+        gap = int(np.where(upper, v, span).min()) - int(np.where(upper, -1, v).max()) - 1
+        if gap == 0:
+            break
+        np.subtract(v, gap, out=v, where=upper)
+        span -= gap
+    return v, span
 
-    # Working state lives in the *permuted* domain (value order within
-    # each run) so levels never re-gather the inputs: the stable
-    # partition keeps every element inside its run, runs nest inside
-    # segments, so segment boundaries are computed once and positions /
-    # original ids / counts are scattered along.  int32 halves the
-    # memory traffic (positions, counts and indices all fit).
-    seg_bound = np.empty(n, dtype=bool)
-    seg_bound[0] = True
-    seg_o = seg[order]
-    np.not_equal(seg_o[1:], seg_o[:-1], out=seg_bound[1:])
-    pos_o = pos[order].astype(np.int32)
-    ord_o = order.astype(np.int32)
-    cnt_o = np.zeros(n, dtype=np.int32)
-    idx = np.arange(n, dtype=np.int32)
-    big = np.int32(n)
-    new_run = np.empty(n, dtype=bool)
-    is_last = np.empty(n, dtype=bool)
 
-    top = (max_len - 1).bit_length()
-    for level in range(top, 0, -1):
-        blk = pos_o >> np.int32(level)
-        np.not_equal(blk[1:], blk[:-1], out=new_run[1:])
-        new_run[0] = True
-        new_run |= seg_bound
+def _unproven(prev, a, p, length, n_ways: int) -> np.ndarray:
+    """Mask of the windows the long-gap bound cannot prove misses.
 
-        left = (pos_o & np.int32(1 << (level - 1))) == 0
-        cum = np.cumsum(left, dtype=np.int32)
-        cum_excl = cum - left
-        # broadcast each run's starting cum_excl forward: run starts
-        # carry nondecreasing values, so a running max back-fills them
-        base = np.where(new_run, cum_excl, np.int32(0))
-        np.maximum.accumulate(base, out=base)
-        before = cum_excl - base  # lefts earlier in the run
-        cnt_o += np.where(left, np.int32(0), before)
+    ``a``, ``p`` and ``length = a - p`` describe windows longer than
+    ``n_ways``, sorted by length. For the smallest power of two
+    ``G >= length``, every ``b`` in the window whose previous use lies
+    ``G`` or more positions back is a distinct line, so counting them
+    is a lower bound on the window's distinct lines.
+    """
+    gap = np.arange(prev.size) - prev
+    gap[prev < 0] = np.iinfo(gap.dtype).max
+    counts = np.zeros(prev.size + 1, dtype=np.intp)
+    unproven = np.empty(a.size, dtype=bool)
+    lo = 0
+    g = 1 << n_ways.bit_length()  # the first power of two above n_ways
+    while lo < a.size:
+        hi = int(np.searchsorted(length, g, side="right"))
+        if hi > lo:
+            np.cumsum(gap >= g, out=counts[1:])
+            unproven[lo:hi] = counts[a[lo:hi]] - counts[p[lo:hi] + 1] < n_ways
+        lo, g = hi, 2 * g
+    return unproven
 
-        if level > 1:
-            # stable partition of each run into (lefts, rights), both
-            # keeping their value order — the next level's sorted runs.
-            # total lefts per run = cum at run end (back-filled via a
-            # reversed running min: later run ends carry smaller cums)
-            # minus cum_excl at run start.
-            start = np.where(new_run, idx, np.int32(0))
-            np.maximum.accumulate(start, out=start)
-            is_last[:-1] = new_run[1:]
-            is_last[-1] = True
-            end_cum = np.where(is_last, cum, big)[::-1]
-            np.minimum.accumulate(end_cum, out=end_cum)
-            total_left = end_cum[::-1] - base
-            dest = start + np.where(left, before, total_left + (idx - start) - before)
-            nxt = np.empty(n, dtype=np.int32)
-            nxt[dest] = pos_o
-            pos_o, nxt = nxt, pos_o  # nxt now holds the freed buffer
-            nxt[dest] = ord_o
-            ord_o, nxt = nxt, ord_o
-            nxt[dest] = cnt_o
-            cnt_o = nxt
-    counts[ord_o] = cnt_o
-    return counts
+
+def _scan_hits(prev, a, p, length, n_ways: int) -> np.ndarray:
+    """The hits among windows sorted by length, by backward offset scan.
+
+    Step ``j`` counts ``b = a - j`` when ``prev(b) < p``. A window whose
+    ``length - 1`` accesses are all counted leaves as a prefix slice: a
+    hit iff its count stayed below ``n_ways``. Counts only grow, so the
+    windows already at ``n_ways`` (misses) are dropped every ``n_ways``
+    steps rather than tested every step.
+    """
+    hits = [a[:0]]
+    count = np.zeros(a.size, dtype=np.intp)
+    lo = 0
+    step = 0
+    while True:
+        done = int(np.searchsorted(length, step + 1, side="right"))
+        if done > lo:
+            hits.append(a[lo:done][count[lo:done] < n_ways])
+            lo = done
+        if lo == a.size:
+            return np.concatenate(hits)
+        step += 1
+        count[lo:] += prev[a[lo:] - step] < p[lo:]
+        if step % n_ways == 0:
+            live = lo + np.flatnonzero(count[lo:] < n_ways)
+            a, p, length, count = a[live], p[live], length[live], count[live]
+            lo = 0
 
 
 def lru_hit_mask(lines: np.ndarray, n_sets: int, n_ways: int) -> np.ndarray:
@@ -176,74 +145,46 @@ def lru_hit_mask(lines: np.ndarray, n_sets: int, n_ways: int) -> np.ndarray:
     if n_sets < 1 or n_ways < 1:
         raise ValueError("cache needs at least 1 set and 1 way")
     lines = np.ascontiguousarray(lines, dtype=np.int64)
-    n = lines.size
-    hits = np.zeros(n, dtype=bool)
-    if n == 0:
+    hits = np.zeros(lines.size, dtype=bool)
+    if lines.size == 0:
         return hits
 
-    # 1. global run collapse: an immediate re-access has distance 0.
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=head[1:])
-    hits[~head] = True
-    head_pos = np.flatnonzero(head)
-    stream = lines[head_pos]
-    m = stream.size
+    # 1. group by set, then collapse set-local runs (they hit)
+    by_set = _stable_argsort(lines % n_sets, n_sets)
+    grouped = lines[by_set]
+    fresh = np.empty(lines.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=fresh[1:])
+    heads = np.flatnonzero(fresh)
+    stream = grouped[heads]
 
-    # 2. group accesses by set (stable, so segments preserve stream
-    # order) and collapse *set-local* runs: an access whose previous
-    # same-set access touched the same line has reuse distance 0 — no
-    # other line of the set intervened — so it always hits, and
-    # dropping it shifts no surviving window's distinct-line count
-    # (only whole runs sit between consecutive survivors of a line).
-    # Warp-coherent streams interleave sets heavily, so this collapse
-    # is where the stream actually shrinks (often by 10x or more).
-    sets = stream % n_sets
-    by_set = np.argsort(sets, kind="stable")
-    g_sets = sets[by_set]
-    g_lines = stream[by_set]
-    new_set = np.empty(m, dtype=bool)
-    new_set[0] = True
-    np.not_equal(g_sets[1:], g_sets[:-1], out=new_set[1:])
-    dup = np.zeros(m, dtype=bool)
-    np.equal(g_lines[1:], g_lines[:-1], out=dup[1:])
-    dup[new_set] = False
-    hits[head_pos[by_set[dup]]] = True
+    # 2. previous use of each survivor's line (-1 = first use); within a
+    # set, the tag tells lines apart, and the set grouping survives the
+    # stable sort, so equal lines end up adjacent
+    tag, span = _fold(stream // n_sets)
+    by_line = _stable_argsort(tag, span)
+    same = stream[by_line[1:]] == stream[by_line[:-1]]
+    a = by_line[1:][same]
+    p = by_line[:-1][same]
+    prev = np.full(stream.size, -1, dtype=np.intp)
+    prev[a] = p
 
-    kidx = np.flatnonzero(~dup)
-    n2 = kidx.size
-    if n2 == 0:
-        return hits
-    seg_lines = g_lines[kidx]
-    new2 = new_set[kidx]  # run heads survive, so segment starts do too
-    seg2 = np.cumsum(new2) - 1
-    seg_start2 = np.flatnonzero(new2)
-    pos2 = np.arange(n2, dtype=np.int64) - seg_start2[seg2]
+    # 3. windows (p, a) by length: short ones hit, the bound proves
+    # most long ones miss
+    length = a - p
+    order = _stable_argsort(length, int(length.max(initial=0)) + 1)
+    a, p, length = a[order], p[order], length[order]
+    short = int(np.searchsorted(length, n_ways, side="right"))
+    a_hit = a[:short]
+    a, p, length = a[short:], p[short:], length[short:]
+    keep = _unproven(prev, a, p, length, n_ways)
 
-    # 3. previous surviving occurrence of each line, as a *set-local*
-    # position (-1 = first use): stable sort by (segment, line) makes
-    # consecutive occurrences adjacent.
-    lv = seg_lines - int(seg_lines.min())
-    span = int(lv.max()) + 1
-    n_segs = int(seg2[-1]) + 1
-    if n_segs * span >= _KEY_LIMIT:
-        lv = np.unique(lv, return_inverse=True)[1].astype(np.int64)
-        span = int(lv.max()) + 1
-    by_ln = np.argsort(seg2 * span + lv, kind="stable")
-    s_seg = seg2[by_ln]
-    s_ln = lv[by_ln]
-    same = (s_seg[1:] == s_seg[:-1]) & (s_ln[1:] == s_ln[:-1])
-    prev = np.full(n2, -1, dtype=np.int64)
-    prev[by_ln[1:][same]] = pos2[by_ln[:-1][same]]
-    reused = np.flatnonzero(prev >= 0)
-
-    # 4. reuse distance via segmented left-smaller counting: positions
-    # and previous-use values are both set-local now, so the rank of
-    # the previous use is the previous use itself, and -1 (cold) sorts
-    # below every real position.
-    below_left = _segmented_left_smaller(seg2, pos2, prev)
-    distance = below_left[reused] - (prev[reused] + 1)
-    hits[head_pos[by_set[kidx[reused[distance < n_ways]]]]] = True
+    # 4. scan what is left
+    scanned = _scan_hits(prev, a[keep], p[keep], length[keep], n_ways)
+    grouped_hit = ~fresh
+    grouped_hit[heads[a_hit]] = True
+    grouped_hit[heads[scanned]] = True
+    hits[by_set] = grouped_hit
     return hits
 
 

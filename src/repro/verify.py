@@ -16,14 +16,18 @@ The oracles are :func:`~repro.baselines.brute.exact_search` (knn,
 true_knn, and range with ``k`` set to the largest oracle count, rows
 compared in canonical order) and
 :func:`~repro.baselines.brute.exact_count` (count). A ``budgeted``
-range answer meets the step-budget contract instead: every returned
-neighbor is in the exact answer, ``recall_lower_bound`` lies in
-``[0, 1]``, and a budget that never fired returns the exact rows. A
+cell runs knn and range under a budget that fires and one that never
+does, and each answer meets the step-budget contract instead: every
+returned neighbor is distinct and in the exact range answer at its
+exact distance, knn rows stay in canonical order, ``recall_lower_bound``
+lies in ``[0, 1]``, and a budget that never fired returns the
+unbudgeted rows. A
 combination the contract rejects (true kNN under a budget) is a row
 expecting its typed error.
 
-The rows that are not identities ride along unchanged:
-``serve-smoke`` (open-loop load: zero errors, batches coalesce),
+The rows that are not identities:
+``serve-smoke`` (open-loop load at :data:`SERVE_RPS`: zero errors,
+rejections or expiries, batches coalesce),
 ``shard-smoke`` (1 vs 4 shards: zero errors or expiries, modeled
 throughput scales ≥ :data:`MIN_SCALING`) and ``workloads`` (DBSCAN,
 Hausdorff and SPH equal across paths and to their brute oracles). The
@@ -77,6 +81,10 @@ SHARDS = 4
 MIN_SCALING = 2.5
 #: expansion rounds a true_knn cell may take
 MAX_ROUNDS = 12
+#: serve-smoke's offered load: a rate the service drains without a
+#: growing backlog on 2 vCPUs, so the row checks coalescing rather
+#: than admission control under saturation
+SERVE_RPS = 25
 #: a short batching window: the matrix submits each step's groups at once
 _SERVE_CONFIG = ServiceConfig(batch_window_s=0.002)
 
@@ -285,9 +293,16 @@ def _check_true_knn(report, reference_radii) -> list[str]:
     return out
 
 
-def _check_budgeted(got, exact, never_fires: bool) -> list[str]:
-    """The step-budget contract against the exact range rows;
-    ``never_fires`` marks the budget too large to ever run out."""
+def _check_budgeted(kind, got, exact, unbudgeted, never_fires: bool) -> list[str]:
+    """The step-budget contract for one ``kind`` (knn or range) group.
+
+    ``exact`` holds the exact range rows (every in-radius neighbor with
+    its exact squared distance), ``unbudgeted`` the oracle's rows for
+    ``kind``; ``never_fires`` marks the budget too large to ever run
+    out. A budgeted row holds distinct neighbors, each in the exact
+    range row at its exact distance (so within the radius); a knn row
+    is also in canonical ``(sq_distance, index)`` order.
+    """
     out = []
     bud = got.report.extras["budget"]
     if not 0.0 <= bud["recall_lower_bound"] <= 1.0:
@@ -295,15 +310,21 @@ def _check_budgeted(got, exact, never_fires: bool) -> list[str]:
     if never_fires:
         if bud["budget_exhausted"]:
             out.append("the never-firing budget fired")
-        return out + [f"unfired budget: {m}"
-                      for m in _rows_differ(got.canonical(), exact)]
+        rows = got.canonical() if kind == "range" else got
+        return out + [f"unfired budget: {m}" for m in _rows_differ(rows, unbudgeted)]
     for q in range(len(got.counts)):
         n = int(got.counts[q])
+        idx, d2 = got.indices[q, :n], got.sq_distances[q, :n]
         truth = dict(zip(exact.indices[q, : exact.counts[q]].tolist(),
                          exact.sq_distances[q, : exact.counts[q]].tolist()))
-        pairs = zip(got.indices[q, :n].tolist(), got.sq_distances[q, :n].tolist())
-        if any(truth.get(i) != d for i, d in pairs):
-            out.append(f"query {q}: budgeted row is not a subset of the exact row")
+        if len(set(idx.tolist())) < n:
+            out.append(f"query {q}: budgeted {kind} row repeats a neighbor")
+        if any(truth.get(i) != d for i, d in zip(idx.tolist(), d2.tolist())):
+            out.append(f"query {q}: budgeted {kind} row is not a subset of the exact row")
+        if kind == "knn":
+            ordered = (d2[1:] > d2[:-1]) | ((d2[1:] == d2[:-1]) & (idx[1:] > idx[:-1]))
+            if not ordered.all():
+                out.append(f"query {q}: budgeted knn row is not in (d2, index) order")
     return out
 
 
@@ -334,15 +355,18 @@ class _Run:
             return [f"expected {cell.expect.__name__}"]
         if cell.kind == "budgeted":
             exact = self.oracle("range", step)
-            k = range_k(s.steps[step], s.groups, s.radius)
             out = []
-            fired = False
-            for budget in (s.tight_budget, s.loose_budget):
-                got = runner.search("range", s.groups, k, s.radius, budget)
-                for g, e in zip(got, exact):
-                    out += _check_budgeted(g, e, budget == s.loose_budget)
-                    fired |= g.report.extras["budget"]["budget_exhausted"]
-            return out + ([] if fired else ["the tight budget never fired"])
+            for kind, k in (("range", range_k(s.steps[step], s.groups, s.radius)),
+                            ("knn", s.k)):
+                fired = False
+                for budget in (s.tight_budget, s.loose_budget):
+                    got = runner.search(kind, s.groups, k, s.radius, budget)
+                    for g, e, u in zip(got, exact, self.oracle(kind, step)):
+                        out += _check_budgeted(kind, g, e, u, budget == s.loose_budget)
+                        fired |= g.report.extras["budget"]["budget_exhausted"]
+                if not fired:
+                    out.append(f"the tight budget never fired on {kind}")
+            return out
         k = s.k
         if cell.kind == "range":
             k = range_k(s.steps[step], s.groups, s.radius)
@@ -430,9 +454,10 @@ def _run_path(run: _Run, path, variant, cells, failures) -> None:
 # the rows that are not identities
 # ----------------------------------------------------------------------
 def serve_smoke() -> str:
-    """Seeded open-loop load: zero errors, batches coalesce."""
+    """Seeded open-loop load the service sustains: zero errors,
+    rejections or expiries, and batches coalesce."""
     points, spec = load("Bunny-360K", scale=0.03)
-    load_spec = LoadSpec(rps=300, clients=4, duration_s=2.0,
+    load_spec = LoadSpec(rps=SERVE_RPS, clients=4, duration_s=2.0,
                          mode="knn", k=4, radius=spec.radius, seed=0)
 
     async def drive():
@@ -444,6 +469,8 @@ def serve_smoke() -> str:
 
     out = asyncio.run(drive())
     _require(out.errored == 0, f"{out.errored} errored requests ({out.errors[:3]})")
+    _require(out.rejected == 0, f"{out.rejected} requests rejected at admission")
+    _require(out.expired == 0, f"{out.expired} requests expired")
     _require(out.occupancy_max > 1, "no coalescing (batch occupancy never > 1)")
     return f"{out.completed} requests, occupancy max {out.occupancy_max}"
 

@@ -1,6 +1,6 @@
 """Replay-based cache simulation vs the online LRU oracle.
 
-The vectorized reuse-distance replay (:mod:`repro.gpu.replay`) claims
+The vectorized threshold LRU replay (:mod:`repro.gpu.replay`) claims
 *bit-identical* hit/miss counts to the retained per-access simulation
 (:class:`repro.gpu.cache._SetAssociativeLRU`).  These tests hold it to
 that: randomized property tests on raw streams, adversarial edge
@@ -13,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.optix.pipeline
 from repro.gpu.cache import (
+    PRIM_REGION,
     CacheHierarchy,
     OnlineSampledCacheTracer,
     SampledCacheTracer,
@@ -62,6 +64,80 @@ def test_property_random_streams_match_oracle():
 def test_edge_streams_match_oracle(lines, n_sets, n_ways):
     got = lru_hit_mask(lines, n_sets, n_ways)
     assert np.array_equal(got, _oracle_mask(lines, n_sets, n_ways))
+
+
+#: the default L1 and L2 geometries (hierarchy_geometry) and the range
+#: the property draws from
+_GEOMETRIES = st.one_of(
+    st.sampled_from([(128, 4), (44, 16)]),
+    st.tuples(st.integers(1, 130), st.integers(1, 20)),
+)
+
+
+def _in_set(rng, set_id, n_sets, size):
+    """Distinct lines of one set, each in the node or the primitive region."""
+    base = rng.choice([0, PRIM_REGION], size=size)
+    tags = rng.choice(8 * size + 8, size=size, replace=False)
+    return base + (set_id - base) % n_sets + n_sets * tags
+
+
+def _threshold_stream(rng, n_sets, n_ways):
+    """Episodes ``X, fillers..., X`` whose windows run far longer than
+    ``n_ways`` yet hold ``n_ways - 1``, ``n_ways`` or ``n_ways + 1``
+    distinct fillers, cycled (ping-pong) or drawn at random, sometimes
+    touched just before the first ``X`` so no filler looks cold. Each
+    episode owns a set; episodes interleave in random order."""
+    sets = rng.permutation(n_sets)[: int(rng.integers(1, 5))]
+    episodes = []
+    for s in sets:
+        k = max(n_ways + int(rng.integers(-1, 2)), 0)
+        x, *fill = _in_set(rng, s, n_sets, k + 1)
+        reps = int(rng.integers(3, 12)) * k
+        if not k:
+            body = []
+        elif rng.random() < 0.5:
+            body = np.tile(fill, reps // k + 1)[:reps]
+        else:
+            body = np.concatenate([fill, rng.choice(fill, size=reps)])
+        warm = list(fill) if rng.random() < 0.5 else []
+        episodes.append(np.array([*warm, x, *body, x], dtype=np.int64))
+    owner = np.repeat(np.arange(len(episodes)), [len(e) for e in episodes])
+    rng.shuffle(owner)
+    lines = np.empty(owner.size, dtype=np.int64)
+    for i, e in enumerate(episodes):
+        lines[owner == i] = e
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    l1=_GEOMETRIES,
+    l2=_GEOMETRIES,
+    shape=st.sampled_from(["threshold", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_threshold_windows_match_oracle(l1, l2, shape, seed):
+    """The threshold rule at every way count the caches use: long
+    windows with just under, at and just over ``n_ways`` distinct lines,
+    mixed node and primitive lines, through one level and through the
+    L1 -> L2 hierarchy."""
+    rng = default_rng(seed)
+    if shape == "threshold":
+        lines = _threshold_stream(rng, *l1)
+    else:
+        pool = _in_set(rng, 0, 1, int(rng.integers(1, 200)))
+        lines = rng.choice(pool, size=int(rng.integers(0, 1500)))
+    lru1, lru2 = _SetAssociativeLRU(*l1), _SetAssociativeLRU(*l2)
+    l1_hit = np.zeros(lines.size, dtype=bool)
+    for i, line in enumerate(lines.tolist()):
+        l1_hit[i] = lru1.access(line)
+        if not l1_hit[i]:
+            lru2.access(line)
+    assert np.array_equal(lru_hit_mask(lines, *l1), l1_hit)
+    assert replay_hierarchy(lines, *l1, *l2) == (
+        (lru1.stats.hits, lru1.stats.misses),
+        (lru2.stats.hits, lru2.stats.misses),
+    )
 
 
 def test_replay_validates_geometry():

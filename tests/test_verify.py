@@ -76,23 +76,41 @@ def _row(idx, d2, budget=None):
 
 def test_budgeted_check_enforces_the_step_budget_contract():
     inf = np.inf
-    exact = _row([3, 7, -1], [0.01, 0.02, inf])
+    exact = _row([3, 5, 7], [0.01, 0.02, 0.02])  # every in-radius neighbor
     fired = budget_extras(3, 1, 1)
     unfired = budget_extras(1 << 20, 0, 1)
 
-    def check(idx, d2, budget, loose=False):
-        return verify._check_budgeted(_row(idx, d2, budget), exact, loose)
+    def check(idx, d2, budget, loose=False, kind="range", unbudgeted=exact):
+        row = _row(idx, d2, budget)
+        return verify._check_budgeted(kind, row, exact, unbudgeted, loose)
 
     assert check([7, -1, -1], [0.02, inf, inf], fired) == []
     # a neighbor the exact answer lacks, or holds at another distance
     assert check([9, -1, -1], [0.02, inf, inf], fired)
     assert check([7, -1, -1], [np.nextafter(0.02, 1.0), inf, inf], fired)
+    # a neighbor listed twice
+    assert check([7, 7, -1], [0.02, 0.02, inf], fired)
     # a budget that never fired must return the exact rows
-    assert check([3, 7, -1], [0.01, 0.02, inf], unfired, loose=True) == []
+    assert check([3, 7, 5], [0.01, 0.02, 0.02], unfired, loose=True) == []
     assert check([3, -1, -1], [0.01, inf, inf], unfired, loose=True)
-    assert check([3, 7, -1], [0.01, 0.02, inf], fired, loose=True)
+    assert check([3, 7, 5], [0.01, 0.02, 0.02], fired, loose=True)
     bad = {**fired, "recall_lower_bound": 1.5}
     assert check([7, -1, -1], [0.02, inf, inf], bad)
+
+    # knn rows: the same subset rule, in canonical (d2, index) order,
+    # and an unfired budget returns the unbudgeted k nearest
+    nearest = _row([3, 5], [0.01, 0.02])
+
+    def knn(idx, d2, budget, loose=False):
+        return check(idx, d2, budget, loose, kind="knn", unbudgeted=nearest)
+
+    assert knn([5, 7], [0.02, 0.02], fired) == []
+    assert knn([7, 5], [0.02, 0.02], fired)       # tie out of index order
+    assert knn([5, 3], [0.02, 0.01], fired)       # not distance-sorted
+    assert knn([3, 3], [0.01, 0.01], fired)
+    assert knn([3, 9], [0.01, 0.03], fired)       # outside the radius
+    assert knn([3, 5], [0.01, 0.02], unfired, loose=True) == []
+    assert knn([3, 7], [0.01, 0.02], unfired, loose=True)
 
 
 def test_rejected_cell_fails_when_the_error_is_not_raised():
@@ -101,8 +119,9 @@ def test_rejected_cell_fails_when_the_error_is_not_raised():
     assert list(failures) == [cell.name]
 
 
-def _drifting(factory, kind):
-    """A runner factory whose ``kind`` answers drift in group 0."""
+def _drifting(factory, kind, budgeted=False):
+    """A runner factory whose ``kind`` answers drift in group 0 (only
+    the answers searched under a step budget, if ``budgeted``)."""
 
     class Drift:
         def __init__(self, points, config):
@@ -110,7 +129,8 @@ def _drifting(factory, kind):
 
         def search(self, k, groups, *args, **kwargs):
             out = self.inner.search(k, groups, *args, **kwargs)
-            if k == kind:
+            budget = args[2] if len(args) > 2 else kwargs.get("budget")
+            if k == kind and (budget is not None or not budgeted):
                 res = out[0]
                 if kind == "count":
                     res.counts[0] += 1
@@ -142,6 +162,19 @@ def test_one_ulp_drift_in_one_path_fails_exactly_its_cell(monkeypatch, path, kin
     )
     failures = verify.run_matrix(SCENE, cells)
     assert list(failures) == [f"{kind}/{path}/full"]
+
+
+def test_one_ulp_drift_in_budgeted_knn_fails_exactly_the_budgeted_cell(monkeypatch):
+    cells = [
+        c for c in verify.MATRIX
+        if c.kind in ("knn", "budgeted") and c.path == "solo"
+        and c.variant == "full" and not c.refit
+    ]
+    monkeypatch.setitem(
+        verify.PATH_RUNNERS, "solo",
+        _drifting(verify.PATH_RUNNERS["solo"], "knn", budgeted=True),
+    )
+    assert list(verify.run_matrix(SCENE, cells)) == ["budgeted/solo/full"]
 
 
 def test_workloads_row_is_exact_on_every_path():
