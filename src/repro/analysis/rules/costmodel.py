@@ -22,26 +22,29 @@ def _is_call_to(node: ast.Call, names: tuple[str, ...]) -> bool:
     return False
 
 
+#: the traversal entry points: one launch, and a pass's launches in one loop
+_TRACE_CALLS = ("trace_batch", "trace_forest")
+
+
 @register
 class RawTraceRule(Rule):
-    """``trace_batch`` may only be called from the pipeline layer."""
+    """The traversal may only be called from the pipeline layer."""
 
     rule_id = "COST001"
-    summary = "trace_batch outside the pipeline bypasses cost accounting"
+    summary = "trace_batch/trace_forest outside the pipeline bypasses cost accounting"
 
     def check(self, ctx) -> list[Finding]:
         if ctx.config.is_trace_entry(ctx.rel_path):
             return []
         out = []
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and _is_call_to(
-                node, ("trace_batch",)
-            ):
+            if isinstance(node, ast.Call) and _is_call_to(node, _TRACE_CALLS):
+                name = dotted_name(node.func) or "trace"
                 out.append(
                     self.finding(
                         ctx,
                         node,
-                        "direct trace_batch call: launches must go through "
+                        f"direct {name} call: launches must go through "
                         "Pipeline.launch so CostModel.launch_cost charges "
                         "the traversal; raw traces are free work",
                     )
@@ -62,7 +65,7 @@ class DiscardedLaunchRule(Rule):
             if (
                 isinstance(node, ast.Expr)
                 and isinstance(node.value, ast.Call)
-                and _is_call_to(node.value, ("launch", "trace_batch"))
+                and _is_call_to(node.value, ("launch",) + _TRACE_CALLS)
             ):
                 out.append(
                     self.finding(

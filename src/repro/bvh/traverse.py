@@ -41,6 +41,23 @@ IS call — exactly as if the leaf's slots had run one after another.
 The memory tracer sees the reached pairs slot-major, except for
 shaders that declare ``any_hit = False`` (KNN), whose rounds stream in
 the gathered ray-major order.
+
+One loop per pass. Query partitioning launches one bundle per AABB
+width (Listing 3), and every width's BVH is the same point-MBR tree
+grown by its half-width ``h``. :func:`trace_forest` therefore traces
+all launches of a pass in one round loop over the tree's topology: a
+ray's node and primitive tests use the tree's bounds grown by its own
+launch's ``h`` — the exact floats its launch's GAS holds — and prune
+bounds may be per ray. :func:`trace_batch` is the same loop over one
+launch and a ready-made BVH. The loop keeps ``steps``, ``is_calls``
+and primitive tests per ray and the pruned, bulk-accepted, Any-Hit
+and primitive-access tallies per launch; at the end each launch gets
+its own :class:`TraceResult` (its ``iterations`` is its longest ray's
+``steps``, its warp counters come from its own ray slice). Each
+launch's memory tracer gets that launch's share of every round, with
+launch-local ray ids and the shared round index, in the order it would
+see alone. Every launch starts at round 0, and no query has rays in
+two launches, so no launch can tell it ran beside others.
 """
 
 from __future__ import annotations
@@ -381,41 +398,139 @@ def trace_batch(
     -------
     TraceResult
     """
+    return _trace(
+        bvh, None, (len(origins),), origins, directions, t_min, t_max,
+        hit_handler, warp_size, (tracer,), max_iterations, prune,
+        step_budget,
+    )[0]
+
+
+def trace_forest(
+    mbr: BVH,
+    half_widths,
+    sizes,
+    origins: np.ndarray,
+    directions: np.ndarray,
+    t_min: float,
+    t_max: float,
+    hit_handler,
+    warp_size: int = 32,
+    tracers=None,
+    max_iterations: int | None = None,
+    prune: PruneSpec | None = None,
+    step_budget: int | None = None,
+) -> list[TraceResult]:
+    """Trace several launches over one point-MBR tree in one round loop.
+
+    Launch ``i`` is ``sizes[i]`` consecutive rays of ``origins`` /
+    ``directions`` traced through ``mbr`` grown by ``half_widths[i]``
+    — the BVH :func:`repro.optix.gas.build_gas` derives for that width
+    — so each launch computes exactly the floats a :func:`trace_batch`
+    over its own GAS would. ``hit_handler`` sees the forest's ray ids
+    (launch ``i``'s rays follow launch ``i - 1``'s). ``tracers`` holds
+    one memory tracer (or ``None``) per launch; each sees only its
+    launch's accesses, with launch-local ray ids and the shared round
+    index. ``prune`` bounds may be per-ray arrays. Every other argument
+    is :func:`trace_batch`'s.
+
+    Returns one :class:`TraceResult` per launch, equal field for field
+    to the launch traced on its own, provided no query's accumulator
+    row is shared between launches.
+    """
+    sizes = tuple(int(n) for n in sizes)
+    grow = np.repeat(np.asarray(half_widths, dtype=np.float64), sizes)
+    if tracers is None:
+        tracers = (None,) * len(sizes)
+    if len(tracers) != len(sizes) or len(grow) != len(origins):
+        raise ValueError(
+            "trace_forest needs one size and one tracer per launch, and "
+            "sizes summing to the ray count"
+        )
+    return _trace(
+        mbr, grow, sizes, origins, directions, t_min, t_max, hit_handler,
+        warp_size, tuple(tracers), max_iterations, prune, step_budget,
+    )
+
+
+def _per_ray(bound, rays: np.ndarray):
+    """A prune bound for ``rays``: scalars apply to every ray."""
+    return bound if np.ndim(bound) == 0 else bound[rays]
+
+
+def _trace(
+    bvh: BVH,
+    grow: np.ndarray | None,
+    sizes: tuple,
+    origins: np.ndarray,
+    directions: np.ndarray,
+    t_min: float,
+    t_max: float,
+    hit_handler,
+    warp_size: int,
+    tracers: tuple,
+    max_iterations: int | None,
+    prune: PruneSpec | None,
+    step_budget: int | None,
+) -> list[TraceResult]:
+    """The round loop behind :func:`trace_batch` and :func:`trace_forest`.
+
+    ``grow`` is ``None`` (``bvh``'s own bounds) or a per-ray half-width
+    that grows every node and primitive bound ``bvh`` holds. Rays are
+    ``len(sizes)`` consecutive launches; the work counters are kept per
+    ray (and the tallies per launch) and split by launch at the end.
+    """
     origins = np.ascontiguousarray(origins, dtype=np.float64)
     directions = np.ascontiguousarray(directions, dtype=np.float64)
     n_rays = len(origins)
-    zeros = np.zeros(n_rays, dtype=np.int64)
-    if n_rays == 0:
-        _finalize_tracer(tracer)
-        return TraceResult(
-            steps=zeros,
-            is_calls=zeros.copy(),
-            prim_tests_per_ray=zeros.copy(),
-            iterations=0,
-            warp_traversal_steps=0,
-            warp_is_steps=0,
-            prim_test_warp_steps=0,
-            node_transactions=0,
-            prim_transactions=0,
-            n_rays=0,
-            warp_size=warp_size,
-            per_warp_steps=np.zeros(0, dtype=np.int64),
-            budget_exhausted=np.zeros(0, dtype=bool),
-        )
+    n_launches = len(sizes)
+    offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    # Per-ray launch id for the per-launch tallies (one launch: plain ints).
+    lid = (
+        None if n_launches == 1
+        else np.repeat(np.arange(n_launches, dtype=np.int64), sizes)
+    )
+    hooked = [i for i, t in enumerate(tracers) if t is not None]
+
+    def tally(rays: np.ndarray, mask: np.ndarray | None = None):
+        """How many of ``rays`` (those ``mask`` selects) each launch owns."""
+        if lid is None:
+            return len(rays) if mask is None else int(np.count_nonzero(mask))
+        picked = lid[rays] if mask is None else lid[rays[mask]]
+        return np.bincount(picked, minlength=n_launches)
+
+    def feed(hook: str, iteration: int, rays, ids, cut=None) -> None:
+        """Hand each launch's share of a round's accesses to its tracer.
+
+        ``rays`` are grouped by launch in launch order; ``cut`` holds
+        the group boundaries (found from the ray ids when ``None``,
+        which then must ascend).
+        """
+        if lid is None:
+            getattr(tracers[0], hook)(iteration, rays, ids)
+            return
+        if cut is None:
+            cut = np.searchsorted(rays, offsets)
+        for i in hooked:
+            a, b = cut[i], cut[i + 1]
+            if b > a:
+                getattr(tracers[i], hook)(
+                    iteration, rays[a:b] - offsets[i], ids[a:b]
+                )
+
+    steps = np.zeros(n_rays, dtype=np.int64)
+    is_calls = np.zeros(n_rays, dtype=np.int64)
+    prim_tests = np.zeros(n_rays, dtype=np.int64)
+    budget_exhausted = np.zeros(n_rays, dtype=bool)
+    ah_terminations = 0
+    leaves_pruned = 0
+    leaves_bulk_accepted = 0
+    prim_accesses = 0
+    iteration = 0
 
     stack_width = bvh.depth + 2
     stack = np.zeros((n_rays, stack_width), dtype=np.int64)
     sp = np.ones(n_rays, dtype=np.int64)  # root pre-pushed at slot 0
     alive = np.ones(n_rays, dtype=bool)
-
-    steps = np.zeros(n_rays, dtype=np.int64)
-    is_calls = np.zeros(n_rays, dtype=np.int64)
-    prim_tests = np.zeros(n_rays, dtype=np.int64)
-    ah_terminations = 0
-    leaves_pruned = 0
-    leaves_bulk_accepted = 0
-    prim_accesses = 0
-    budget_exhausted = np.zeros(n_rays, dtype=bool)
 
     node_left = bvh.node_left
     node_right = bvh.node_right
@@ -439,11 +554,20 @@ def trace_batch(
     # issue a leaf's slots in) unless the shader never ends a ray early.
     slot_major = getattr(hit_handler, "any_hit", True)
 
+    def bounds(lo, hi, ids, rays):
+        """Gathered boxes ``ids``, grown by the rays' half-widths."""
+        lo, hi = lo[ids], hi[ids]
+        if grow is None:
+            return lo, hi
+        g = grow[rays][:, None]
+        return lo - g, hi + g
+
     def prim_test(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+        lo, hi = bounds(prim_lo, prim_hi, p, r)
         if fast_prim_test:
-            return aabb_contains(prim_lo[p], prim_hi[p], origins[r])
+            return aabb_contains(lo, hi, origins[r])
         return ray_aabb_intersect(
-            origins[r], directions[r], t_min, t_max, prim_lo[p], prim_hi[p]
+            origins[r], directions[r], t_min, t_max, lo, hi
         )
 
     if max_iterations is None:
@@ -453,7 +577,6 @@ def trace_batch(
     # every round while its stack is non-empty, so activity is one
     # contiguous prefix of rounds).
     act = np.arange(n_rays, dtype=np.int64)
-    iteration = 0
     while len(act):
         if iteration >= max_iterations:
             raise RuntimeError(
@@ -477,20 +600,20 @@ def trace_batch(
         tops = sp[act] - 1
         sp[act] = tops
         nodes = stack[act, tops]
-        if tracer is not None:
-            tracer.on_node_access(iteration, act, nodes)
+        if hooked:
+            feed("on_node_access", iteration, act, nodes)
 
         # --- ray-AABB test ----------------------------------------------
         # Degenerate short rays reduce the node slab test to the same
         # origin-in-box containment as the prim test. Containment hits
         # are a subset of slab hits, and every prim box lies inside its
         # node box, so no containment-passing primitive is ever lost.
+        lo, hi = bounds(node_lo, node_hi, nodes, act)
         if fast_prim_test:
-            hit = aabb_contains(node_lo[nodes], node_hi[nodes], origins[act])
+            hit = aabb_contains(lo, hi, origins[act])
         else:
             hit = ray_aabb_intersect(
-                origins[act], directions[act], t_min, t_max,
-                node_lo[nodes], node_hi[nodes],
+                origins[act], directions[act], t_min, t_max, lo, hi
             )
         hit_nodes = nodes[hit]
         hit_rays = act[hit]
@@ -525,17 +648,18 @@ def trace_batch(
                 prune.leaf_lo[leaf_nodes],
                 prune.leaf_hi[leaf_nodes],
             )
-            thresh = prune.static_t2
+            thresh = _per_ray(prune.static_t2, leaf_rays)
             if prune.worst is not None:
                 thresh = np.minimum(
                     thresh, prune.worst[prune.query_ids[leaf_rays]]
                 )
             keep = min_d2 <= thresh
-            leaves_pruned += int(len(keep)) - int(keep.sum())
+            if not keep.all():
+                leaves_pruned += tally(leaf_rays, ~keep)
             if bulk_t2 is not None:
-                bulk = keep & (max_d2 <= bulk_t2)
-                leaves_bulk_accepted += int(bulk.sum())
+                bulk = keep & (max_d2 <= _per_ray(bulk_t2, leaf_rays))
                 if bulk.any():
+                    leaves_bulk_accepted += tally(leaf_rays, bulk)
                     leaf_bulk = bulk[keep]
             leaf_rays = leaf_rays[keep]
             leaf_nodes = leaf_nodes[keep]
@@ -589,26 +713,38 @@ def trace_batch(
                 last = np.full(len(leaf_rays), max_leaf, dtype=np.int64)
                 last[pair_leaf[ends]] = slot[ends]
                 reached = slot <= last[pair_leaf]
-                alive[flat_rays[ends]] = False
-                ah_terminations += len(ends)
-            if tracer is not None:
+                ended = flat_rays[ends]
+                alive[ended] = False
+                ah_terminations += tally(ended)
+            if hooked:
+                bound = None
                 if slot_major:
                     if slot is None:
                         slot = pos - starts[pair_leaf]
-                    order = _stable_order(slot, max_leaf)
+                    # Slot-major within each launch: the launch is
+                    # the major key, so the stream splits into
+                    # contiguous per-launch runs.
+                    key = slot
+                    if lid is not None:
+                        key = lid[flat_rays] * (max_leaf + 1) + slot
+                    top = n_launches * (max_leaf + 1)
+                    order = _stable_order(key, top)
                     if reached is not None:
                         order = order[reached[order]]
+                    if lid is not None:
+                        bound = np.searchsorted(
+                            key[order],
+                            np.arange(n_launches + 1) * (max_leaf + 1),
+                        )
                 elif reached is not None:
                     order = np.flatnonzero(reached)
                 else:
                     order = slice(None)
-                tracer.on_prim_access(
-                    iteration, flat_rays[order], flat_prims[order]
+                feed(
+                    "on_prim_access", iteration,
+                    flat_rays[order], flat_prims[order], bound,
                 )
-            prim_accesses += (
-                len(flat_rays) if reached is None
-                else int(np.count_nonzero(reached))
-            )
+            prim_accesses += tally(flat_rays, reached)
             if test_prims:
                 prim_tests[leaf_rays] += _per_leaf(
                     pair_leaf, _both(tested, reached), counts
@@ -623,27 +759,42 @@ def trace_batch(
             act = act[keep]
         iteration += 1
 
-    _finalize_tracer(tracer)
-    per_warp_steps = _warp_max(steps, warp_size)
-    return TraceResult(
-        steps=steps,
-        is_calls=is_calls,
-        prim_tests_per_ray=prim_tests,
-        iterations=iteration,
-        warp_traversal_steps=int(per_warp_steps.sum()),
-        warp_is_steps=int(_warp_max(is_calls, warp_size).sum()),
-        prim_test_warp_steps=int(_warp_max(prim_tests, warp_size).sum()),
-        node_transactions=int(steps.sum()),
-        # Every pair fed to the leaf stage fetches its primitive record,
-        # tested or bulk-accepted alike. Without pruning this equals the
-        # historical prim_tests/is_calls totals exactly.
-        prim_transactions=prim_accesses,
-        n_rays=n_rays,
-        warp_size=warp_size,
-        per_warp_steps=per_warp_steps,
-        ah_terminations=ah_terminations,
-        leaves_pruned=leaves_pruned,
-        leaves_bulk_accepted=leaves_bulk_accepted,
-        budget_stopped_rays=int(budget_exhausted.sum()),
-        budget_exhausted=budget_exhausted,
+    for t in tracers:
+        _finalize_tracer(t)
+    # The tallies are ints (one launch) or per-launch arrays.
+    prim_accesses, ah_terminations, leaves_pruned, leaves_bulk_accepted = (
+        np.broadcast_to(v, n_launches)
+        for v in (prim_accesses, ah_terminations, leaves_pruned,
+                  leaves_bulk_accepted)
     )
+    out = []
+    for i in range(n_launches):
+        a, b = int(offsets[i]), int(offsets[i + 1])
+        s, calls, tests = steps[a:b], is_calls[a:b], prim_tests[a:b]
+        exhausted = budget_exhausted[a:b]
+        per_warp_steps = _warp_max(s, warp_size)
+        out.append(TraceResult(
+            steps=s,
+            is_calls=calls,
+            prim_tests_per_ray=tests,
+            # every launch starts at round 0, so its last round is its
+            # longest ray's
+            iterations=int(s.max()) if b > a else 0,
+            warp_traversal_steps=int(per_warp_steps.sum()),
+            warp_is_steps=int(_warp_max(calls, warp_size).sum()),
+            prim_test_warp_steps=int(_warp_max(tests, warp_size).sum()),
+            node_transactions=int(s.sum()),
+            # Every pair fed to the leaf stage fetches its primitive
+            # record, tested or bulk-accepted alike. Without pruning this
+            # equals the historical prim_tests/is_calls totals exactly.
+            prim_transactions=int(prim_accesses[i]),
+            n_rays=b - a,
+            warp_size=warp_size,
+            per_warp_steps=per_warp_steps,
+            ah_terminations=int(ah_terminations[i]),
+            leaves_pruned=int(leaves_pruned[i]),
+            leaves_bulk_accepted=int(leaves_bulk_accepted[i]),
+            budget_stopped_rays=int(exhausted.sum()),
+            budget_exhausted=exhausted,
+        ))
+    return out

@@ -362,36 +362,54 @@ class RTNNEngine:
         )
         return [single], 1, None
 
-    def _launch_args(self, kind, queries, bundle, global_rank, acc, radius):
-        """Resolve one bundle into (launch_ids, rays, shader, is_kind)."""
+    def _pass_args(self, kind, queries, bundles, global_rank, acc, radius):
+        """Resolve a pass's bundles into (launch_ids, rays, shader, kinds).
+
+        One launch per bundle, each ordered by ``global_rank`` when
+        scheduling ran: ``rays`` and ``kinds`` hold one ray batch and
+        one IS cost class per bundle, ``launch_ids`` every launch's
+        query ids in launch order, and the one ``shader`` serves the
+        whole pass over those concatenated rays.
+        """
         cfg = self.config
-        if global_rank is not None:
-            launch_ids = bundle.query_ids[
-                np.argsort(global_rank[bundle.query_ids], kind="stable")
-            ]
-        else:
-            launch_ids = bundle.query_ids
+        ids = [
+            b.query_ids if global_rank is None
+            else b.query_ids[np.argsort(global_rank[b.query_ids], kind="stable")]
+            for b in bundles
+        ]
+        launch_ids = ids[0] if len(ids) == 1 else np.concatenate(ids)
         origins = queries[launch_ids]
-        rays = RayBatch(
-            origins=origins,
-            directions=np.broadcast_to(
-                np.asarray(DEFAULT_DIRECTION), origins.shape
-            ).copy(),
-            t_min=0.0,
-            t_max=cfg.t_max,
-            query_ids=launch_ids,
-        )
+        rays = []
+        start = 0
+        for q in ids:
+            o = origins[start : start + len(q)]
+            start += len(q)
+            rays.append(RayBatch(
+                origins=o,
+                directions=np.broadcast_to(
+                    np.asarray(DEFAULT_DIRECTION), o.shape
+                ).copy(),
+                t_min=0.0,
+                t_max=cfg.t_max,
+                query_ids=q,
+            ))
         if kind == "knn":
             shader = KnnShader(self.points, origins, launch_ids, acc)
-            is_kind = IsKind.KNN
-        else:
-            sphere_test = bundle.sphere_test and not cfg.approx_elide_sphere_test
-            shader = RangeShader(
-                self.points, origins, launch_ids, acc, radius,
-                sphere_test=sphere_test,
-            )
-            is_kind = IsKind.RANGE_TEST if sphere_test else IsKind.RANGE_FAST
-        return launch_ids, rays, shader, is_kind
+            return launch_ids, rays, shader, [IsKind.KNN] * len(bundles)
+        tests = [
+            bool(b.sphere_test and not cfg.approx_elide_sphere_test)
+            for b in bundles
+        ]
+        sphere_test = (
+            tests[0] if len(set(tests)) == 1
+            else np.repeat(tests, [len(q) for q in ids])
+        )
+        shader = RangeShader(
+            self.points, origins, launch_ids, acc, radius,
+            sphere_test=sphere_test,
+        )
+        kinds = [IsKind.RANGE_TEST if t else IsKind.RANGE_FAST for t in tests]
+        return launch_ids, rays, shader, kinds
 
     def _run(
         self,
@@ -553,38 +571,42 @@ class RTNNEngine:
         # be missing neighbors, everyone else's are provably exact.
         exhausted_q = np.zeros(n_q, dtype=bool)
         launches = []
-
-        for i, bundle in enumerate(bundles):
-            with self.tracer.span(f"bundle[{i}]", phase="traverse") as sp:
-                gas = gas_for(bundle.aabb_width)
-                launch_ids, rays, shader, is_kind = self._launch_args(
-                    kind, queries, bundle, global_rank, acc, radius
+        if bundles:
+            # One traversal loop per pass: every bundle (and every fused
+            # group's bundles) launches together over the shared
+            # point-MBR tree, each bundle still costed as its own launch.
+            with self.tracer.span("traverse", phase="traverse") as sp:
+                gases = [gas_for(b.aabb_width) for b in bundles]
+                launch_ids, rays, shader, kinds = self._pass_args(
+                    kind, queries, bundles, global_rank, acc, radius
                 )
                 launch = self.pipeline.launch(
-                    gas, rays, shader, is_kind, step_budget=step_budget
+                    gases, rays, shader, kinds, step_budget=step_budget
                 )
                 # Launch counters/cost live on the child launch span.
                 sp.add(bundle_queries=len(launch_ids))
-                sp.note(aabb_width=float(bundle.aabb_width))
-                launches.append(launch)
-                breakdown.search += launch.modeled_time
-                trace = launch.trace
-                leaves_pruned += trace.leaves_pruned
-                leaves_bulk += trace.leaves_bulk_accepted
-                total_is += trace.total_is_calls
-                total_steps += trace.total_steps
-                tx = trace.node_transactions + trace.prim_transactions
-                if launch.l1_hit_rate is not None and tx:
-                    hit_w += tx
-                    l1_acc += launch.l1_hit_rate * tx
-                    l2_acc += launch.l2_hit_rate * tx
-                occ = self.cost_model.occupancy(trace)
-                occ_w += launch.modeled_time
-                occ_acc += occ * launch.modeled_time
-                if step_budget is not None:
-                    be = trace.budget_exhausted
-                    if be is not None and be.any():
-                        exhausted_q[rays.query_ids[be]] = True
+                sp.note(aabb_widths=[float(b.aabb_width) for b in bundles])
+            launches = launch.launches
+            if step_budget is not None:
+                be = launch.trace.budget_exhausted
+                if be is not None and be.any():
+                    exhausted_q[launch_ids[be]] = True
+
+        for part in launches:
+            breakdown.search += part.modeled_time
+            trace = part.trace
+            leaves_pruned += trace.leaves_pruned
+            leaves_bulk += trace.leaves_bulk_accepted
+            total_is += trace.total_is_calls
+            total_steps += trace.total_steps
+            tx = trace.node_transactions + trace.prim_transactions
+            if part.l1_hit_rate is not None and tx:
+                hit_w += tx
+                l1_acc += part.l1_hit_rate * tx
+                l2_acc += part.l2_hit_rate * tx
+            occ = self.cost_model.occupancy(trace)
+            occ_w += part.modeled_time
+            occ_acc += occ * part.modeled_time
 
         if kind == "knn":
             idx, counts, d2 = acc.finalize()

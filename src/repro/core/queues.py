@@ -5,7 +5,7 @@ aggregate-only count query built on top of them:
 
 * :class:`KnnQueueBatch` — a bounded priority queue per query (the KNN
   IS shader "operates a priority queue"); keeps the K smallest
-  distances seen, radius-bounded.
+  candidates seen under ``(distance, index)``, radius-bounded.
 * :class:`RangeAccumulator` — an append-only bounded list per query
   (range search records any neighbor within r until K are found, then
   terminates the ray via Any-Hit).
@@ -27,11 +27,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.results import empty_results
+from repro.core.results import canonical_sort, empty_results
 
 
 class KnnQueueBatch:
-    """K-bounded max-queues over squared distance, one per query."""
+    """K-bounded max-queues, one per query, under the total order
+    ``(squared distance, index)``.
+
+    Each queue keeps the k smallest candidates by distance, with equal
+    distances broken by the smaller point index — the order
+    :func:`~repro.baselines.brute.exact_search` and the shard gather
+    use. The kept set therefore depends only on the candidates offered,
+    never on the order they arrive in, so every traversal order,
+    partitioning and shard split returns the same row.
+    """
 
     def __init__(self, n_queries: int, k: int, radius: float):
         if k < 1:
@@ -40,15 +49,26 @@ class KnnQueueBatch:
         self.k = int(k)
         self.r2 = float(radius) * float(radius)
         self.idx, self.count, self.d2 = empty_results(n_queries, self.k)
-        # Worst (largest) distance currently held; only meaningful once a
-        # queue is full, +inf until then so any candidate is accepted.
+        # The worst (lexicographically largest) entry held: its distance
+        # and index. Only meaningful once a queue is full; +inf until
+        # then so any candidate is accepted.
         self.worst = np.full(n_queries, np.inf, dtype=np.float64)
+        self.worst_idx = np.full(n_queries, -1, dtype=np.int64)
+
+    def _set_worst(self, q: np.ndarray, rows_d2: np.ndarray, rows_idx: np.ndarray) -> None:
+        """Record the lexicographic max of full queues ``q``'s rows."""
+        worst = rows_d2.max(axis=1)
+        self.worst[q] = worst
+        self.worst_idx[q] = np.where(
+            rows_d2 == worst[:, None], rows_idx, -1
+        ).max(axis=1)
 
     def insert(self, qids: np.ndarray, pids: np.ndarray, d2: np.ndarray) -> None:
         """Offer one candidate per (unique) query id.
 
-        Candidates beyond the radius bound or not improving a full queue
-        are dropped; otherwise they displace the current worst entry.
+        Candidates beyond the radius bound are dropped. A full queue
+        takes a candidate only when ``(d2, pid)`` is below its worst
+        entry's, which it evicts.
         """
         keep = d2 <= self.r2
         if not keep.all():  # callers that pre-filter skip three copies
@@ -66,7 +86,9 @@ class KnnQueueBatch:
             self.count[qids] = counts + 1
             newly_full = qids[counts + 1 == self.k]
             if len(newly_full):
-                self.worst[newly_full] = self.d2[newly_full].max(axis=1)
+                self._set_worst(
+                    newly_full, self.d2[newly_full], self.idx[newly_full]
+                )
             return
         if not_full.any():
             q = qids[not_full]
@@ -76,25 +98,33 @@ class KnnQueueBatch:
             self.count[q] = slots + 1
             newly_full = q[slots + 1 == self.k]
             if len(newly_full):
-                self.worst[newly_full] = self.d2[newly_full].max(axis=1)
+                self._set_worst(
+                    newly_full, self.d2[newly_full], self.idx[newly_full]
+                )
 
-        improving = (~not_full) & (d2 < self.worst[qids])
+        worst = self.worst[qids]
+        improving = (~not_full) & (
+            (d2 < worst) | ((d2 == worst) & (pids < self.worst_idx[qids]))
+        )
         if improving.any():
             q = qids[improving]
-            d2_new = d2[improving]
-            rows = self.d2[q]  # one gathered copy serves argmax and max
-            victim = rows.argmax(axis=1)
+            # one gathered copy of each row serves the victim and the
+            # new worst entry
+            rows_d2 = self.d2[q]
+            rows_idx = self.idx[q]
+            victim = (rows_idx == self.worst_idx[q][:, None]).argmax(axis=1)
             arange = np.arange(len(q))
-            rows[arange, victim] = d2_new
+            rows_d2[arange, victim] = d2[improving]
+            rows_idx[arange, victim] = pids[improving]
             self.idx[q, victim] = pids[improving]
-            self.d2[q, victim] = d2_new
-            self.worst[q] = rows.max(axis=1)
+            self.d2[q, victim] = d2[improving]
+            self._set_worst(q, rows_d2, rows_idx)
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (indices, counts, sq_distances) sorted by distance."""
-        order = np.argsort(self.d2, axis=1, kind="stable")
-        rows = np.arange(self.n_queries)[:, None]
-        return self.idx[rows, order], self.count.copy(), self.d2[rows, order]
+        """Return (indices, counts, sq_distances), each row in
+        ``(sq_distance, index)`` order."""
+        idx, d2 = canonical_sort(self.idx, self.d2)
+        return idx, self.count.copy(), d2
 
 
 class RangeAccumulator:

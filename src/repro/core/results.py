@@ -200,11 +200,11 @@ class SearchResults:
         """Rows reordered into canonical ``(sq_distance, index)`` order.
 
         The canonical order is topology-independent: it depends only on
-        the neighbor *set*, never on traversal or discovery order. The
-        sharded serving tier emits it natively; applying it to a
-        single-engine result makes the two bit-comparable (KNN results
-        are already distance-sorted, so for them this is the identity
-        whenever no two distinct neighbors tie exactly).
+        the neighbor *set*, never on traversal or discovery order. KNN
+        rows are already in it (the queue ranks candidates by the same
+        total order, ties included), so for them this is the identity;
+        range rows list neighbors in discovery order, and applying it
+        makes them comparable across paths.
         """
         idx, d2 = canonical_sort(self.indices, self.sq_distances)
         return SearchResults(

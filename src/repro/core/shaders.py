@@ -78,7 +78,8 @@ class RangeShader:
 
     ``sphere_test=False`` is the Section-5.1 fast path: every point
     whose AABB encloses the query is accepted without the distance
-    check (valid when the AABB is inscribed in the r-sphere).
+    check (valid when the AABB is inscribed in the r-sphere). A
+    boolean array sets it per ray, for a pass whose launches differ.
     """
 
     def __init__(
@@ -96,6 +97,11 @@ class RangeShader:
         self.acc = accumulator
         self.r2 = float(radius) * float(radius)
         self.sphere_test = sphere_test
+        self._tests = bool(np.any(sphere_test))
+        # rays exempt from the distance check (None: one flag for all)
+        self._exempt = (
+            ~np.asarray(sphere_test, dtype=bool) if np.ndim(sphere_test) else None
+        )
         self._dist = _PairDistance()
 
     def __call__(self, ray_ids: np.ndarray, prim_ids: np.ndarray):
@@ -111,8 +117,10 @@ class RangeShader:
         """
         d2 = self._dist(self.origins, ray_ids, self.points, prim_ids)
         kept = None
-        if self.sphere_test:
+        if self._tests:
             keep = d2 <= self.r2
+            if self._exempt is not None:
+                keep |= self._exempt[ray_ids]
             if not keep.all():
                 kept = np.flatnonzero(keep)
                 if not len(kept):

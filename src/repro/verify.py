@@ -12,6 +12,13 @@ identity matrix states that as a table of :class:`Cell` rows:
   the cloud (a refit), then teleports it (the SAH watchdog rebuilds),
   and the path searches after each move.
 
+The tie matrix (:data:`TIE_MATRIX`) runs the knn, true_knn and
+budgeted kinds on every path and variant over :func:`make_tie_scene`,
+an integer lattice with duplicated points, where the k-th neighbor
+ties on distance for most queries: knn rows rank by the total order
+``(sq_distance, index)``, so every path must return the oracle's
+indices too, with no canonical reordering.
+
 The oracles are :func:`~repro.baselines.brute.exact_search` (knn,
 true_knn, and range with ``k`` set to the largest oracle count, rows
 compared in canonical order) and
@@ -84,7 +91,7 @@ MAX_ROUNDS = 12
 #: serve-smoke's offered load: a rate the service drains without a
 #: growing backlog on 2 vCPUs, so the row checks coalescing rather
 #: than admission control under saturation
-SERVE_RPS = 25
+SERVE_RPS = 120
 #: a short batching window: the matrix submits each step's groups at once
 _SERVE_CONFIG = ServiceConfig(batch_window_s=0.002)
 
@@ -105,11 +112,14 @@ class Cell:
     variant: str
     refit: bool = False
     expect: type[Exception] | None = None
+    ties: bool = False  # a cell of the tie matrix
 
     @property
     def name(self) -> str:
-        return f"{self.kind}/{self.path}/{self.variant}" + (
-            "/refit" if self.refit else ""
+        return (
+            f"{self.kind}/{self.path}/{self.variant}"
+            + ("/refit" if self.refit else "")
+            + ("/ties" if self.ties else "")
         )
 
 
@@ -146,6 +156,24 @@ def make_scene(n_points: int = 500, n_groups: int = 2, seed: int = 5) -> Scene:
         q = pts[rng.integers(0, n_points, 7)] + rng.normal(0.0, 0.01, (7, 3))
         groups.append(np.vstack([q, 1.0 + rng.random((1, 3))]))
     return Scene(steps=(pts, jitter, teleport), groups=tuple(groups))
+
+
+def make_tie_scene(side: int = 8, n_dups: int = 48, seed: int = 9) -> Scene:
+    """An integer lattice plus duplicated lattice points, self-queried.
+
+    Each query finds itself (and its duplicates) at d² = 0 and its six
+    face neighbours at d² = 1, so with ``k = 5`` the last kept slot is
+    a distance tie that only the neighbour index can break.
+    """
+    rng = default_rng(seed)
+    axis = np.arange(side, dtype=np.float64)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+    grid = grid.reshape(-1, 3)
+    pts = np.vstack([grid, grid[rng.integers(0, len(grid), n_dups)]])
+    queries = pts[rng.permutation(len(pts))[:24]]
+    return Scene(
+        steps=(pts,), groups=(queries[:12], queries[12:]), k=5, radius=1.5
+    )
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +270,14 @@ MATRIX = tuple(
 ) + tuple(
     Cell("true_knn+budget", path, variant, expect=ValueError)
     for path, variant in product(PATH_RUNNERS, CONFIGS)
+)
+
+#: the kinds whose rows the tie scene checks index for index
+TIE_KINDS = ("knn", "true_knn", "budgeted")
+#: every path and variant over :func:`make_tie_scene`
+TIE_MATRIX = tuple(
+    Cell(kind, path, variant, ties=True)
+    for path, variant, kind in product(PATH_RUNNERS, CONFIGS, TIE_KINDS)
 )
 
 
@@ -402,21 +438,33 @@ def _watchdog(runner, step: int) -> list[str]:
     return []
 
 
-def run_matrix(scene: Scene | None = None, cells=MATRIX) -> dict[str, list[str]]:
-    """Run ``cells`` over ``scene``; returns failure messages by cell name.
+def run_matrix(
+    scene: Scene | None = None,
+    cells=MATRIX + TIE_MATRIX,
+    tie_scene: Scene | None = None,
+) -> dict[str, list[str]]:
+    """Run ``cells``; returns failure messages by cell name.
 
-    Cells sharing a (path, variant) share one runner: it searches the
+    Tie cells run over ``tie_scene`` (default :func:`make_tie_scene`),
+    the others over ``scene`` (default :func:`make_scene`). Cells
+    sharing a scene, path and variant share one runner: it searches the
     cloud, then (for refit cells) moves it twice through its own
     ``update_points`` and searches after each move.
     """
-    run = _Run(scene or make_scene())
+    runs: dict[bool, _Run] = {}
     failures: dict[str, list[str]] = {}
-    instances = sorted({(c.path, c.variant) for c in cells},
-                       key=lambda pv: (list(PATH_RUNNERS).index(pv[0]), pv[1]))
-    for path, variant in instances:
-        mine = [c for c in cells if (c.path, c.variant) == (path, variant)]
+    instances = sorted({(c.ties, c.path, c.variant) for c in cells},
+                       key=lambda t: (t[0], list(PATH_RUNNERS).index(t[1]), t[2]))
+    for ties, path, variant in instances:
+        if ties not in runs:
+            runs[ties] = _Run(
+                (tie_scene or make_tie_scene()) if ties
+                else (scene or make_scene())
+            )
+        mine = [c for c in cells
+                if (c.ties, c.path, c.variant) == (ties, path, variant)]
         try:
-            _run_path(run, path, variant, mine, failures)
+            _run_path(runs[ties], path, variant, mine, failures)
         except Exception as exc:  # a path that cannot build or move
             for cell in mine:
                 failures.setdefault(cell.name, []).append(
@@ -578,8 +626,10 @@ def main(argv=None) -> int:
     if failures:
         status = 1
     else:
-        print(f"verify: {len(MATRIX) - rejected} identity cells match their "
-              f"oracles, {rejected} rejected combinations raise their error")
+        identity = len(MATRIX) + len(TIE_MATRIX) - rejected
+        print(f"verify: {identity} identity cells match their oracles "
+              f"({len(TIE_MATRIX)} on the tie scene), {rejected} rejected "
+              "combinations raise their error")
     for name, row in ROWS:
         try:
             print(f"verify: {name} ok: {row()}")

@@ -267,6 +267,20 @@ def test_cost001_fires_on_raw_trace_batch():
     assert "COST001" in ids(findings)
 
 
+def test_cost001_fires_on_raw_trace_forest():
+    findings = run(
+        """
+        from repro.bvh import traverse
+
+        def free_pass(mbr, widths, sizes, o, d, shader):
+            return traverse.trace_forest(mbr, widths, sizes, o, d, 0.0, 1e-16, shader)
+        """
+    )
+    assert [f.message.split(":")[0] for f in findings if f.rule_id == "COST001"] == [
+        "direct traverse.trace_forest call"
+    ]
+
+
 def test_cost001_silent_in_pipeline_module():
     findings = run(
         """

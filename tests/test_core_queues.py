@@ -83,6 +83,46 @@ def test_property_knn_queue_equals_sorted_topk(k, dists, radius):
     assert np.allclose(d2[0, : len(expect)], expect)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    n_queries=st.integers(1, 4),
+    levels=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    seed=st.integers(0, 10_000),
+)
+def test_property_knn_rows_follow_the_total_order(k, n_queries, levels, seed):
+    """With forced distance ties, every arrival order keeps the same
+    row: the k smallest ``(d2, index)`` candidates, in that order."""
+    rng = np.random.default_rng(seed)
+    qids = rng.integers(0, n_queries, len(levels))
+    pids = rng.permutation(len(levels) * 3)[: len(levels)]
+    d2 = np.asarray(levels, dtype=np.float64) * 0.25
+    rows = []
+    for order in (np.arange(len(levels)), rng.permutation(len(levels))):
+        q = KnnQueueBatch(n_queries, k=k, radius=1.0)
+        # one candidate per query per insert, in this arrival order
+        for i in order:
+            q.insert(qids[i : i + 1], pids[i : i + 1], d2[i : i + 1])
+        rows.append(q.finalize())
+    for qi in range(n_queries):
+        mine = np.flatnonzero((qids == qi) & (d2 <= 1.0))
+        want = sorted(zip(d2[mine].tolist(), pids[mine].tolist()))[:k]
+        for idx, counts, dist in rows:
+            assert counts[qi] == len(want)
+            got = list(zip(dist[qi, : counts[qi]].tolist(),
+                           idx[qi, : counts[qi]].tolist()))
+            assert got == want
+
+
+def test_knn_tie_at_the_worst_slot_keeps_the_smaller_index():
+    q = KnnQueueBatch(1, k=2, radius=10.0)
+    for pid, d in [(9, 1.0), (4, 0.5), (7, 1.0), (3, 1.0), (8, 1.0)]:
+        q.insert(np.array([0]), np.array([pid]), np.array([d]))
+    idx, counts, d2 = q.finalize()
+    assert idx[0].tolist() == [4, 3] and d2[0].tolist() == [0.5, 1.0]
+    assert (q.worst[0], q.worst_idx[0]) == (1.0, 3)
+
+
 def test_validation():
     import pytest
 

@@ -94,19 +94,33 @@ def traced_run(cube_points, cube_queries):
 
 
 def test_engine_emits_expected_span_tree(traced_run):
-    tracer, _ = traced_run
+    tracer, res = traced_run
     top = [s.name for s in tracer.spans]
     assert top[0] == "transfer"
     assert "partition" in top
     assert "schedule" in top
-    assert any(name.startswith("bundle[") for name in top)
     # the scheduling pre-pass builds its own GAS and launches through it
     sched = next(s for s in tracer.spans if s.name == "schedule")
     assert [c.name for c in sched.children] == ["build_gas", "launch"]
-    # every bundle span wraps at least one launch
-    for s in tracer.spans:
-        if s.name.startswith("bundle["):
-            assert any(c.name == "launch" for c in s.walk())
+    # every bundle of the pass runs in one launch under one traverse
+    # span, whose counters are the sums over the bundles' launches
+    (trav,) = [s for s in tracer.spans if s.name == "traverse"]
+    assert trav.phase == "traverse"
+    launches = [c for c in trav.children if c.name == "launch"]
+    assert len(launches) == 1
+    assert all(c.name in ("build_gas", "launch") for c in trav.children)
+    (launch,) = launches
+    n_bundles = res.report.n_bundles
+    assert n_bundles > 1
+    assert launch.extras["kind"] == ["knn"] * n_bundles
+    assert len(trav.extras["aabb_widths"]) == n_bundles
+    assert trav.counters["bundle_queries"] == len(res.counts)
+    assert launch.counters["rays"] == len(res.counts)
+    assert launch.counters["is_calls"] == res.report.is_calls
+    assert launch.counters["traversal_steps"] == res.report.traversal_steps
+    assert launch.counters["modeled_s"] == pytest.approx(
+        res.report.breakdown.search, rel=1e-12
+    )
 
 
 def test_phase_counters_match_launch_spans(traced_run):

@@ -35,14 +35,16 @@ def clustered():
 @pytest.fixture
 def launches(monkeypatch):
     """Every search launch (not the first-hit scheduling pre-pass), with
-    its modeled occupancy."""
+    its modeled occupancy. A pass traced in one loop counts as its
+    per-bundle launches."""
     seen = []
     launch = Pipeline.launch
 
     def spy(self, gas, rays, shader, kind, *args, **kwargs):
         out = launch(self, gas, rays, shader, kind, *args, **kwargs)
         if kind is not IsKind.FIRST_HIT:
-            seen.append((out, self.cost_model.occupancy(out.trace)))
+            for part in out.launches:
+                seen.append((part, self.cost_model.occupancy(part.trace)))
         return out
 
     monkeypatch.setattr(Pipeline, "launch", spy)

@@ -16,6 +16,7 @@ import pytest
 
 from repro import verify
 from repro.api import SearchSession
+from repro.baselines.brute import exact_search
 from repro.core.engine import RTNNEngine
 from repro.core.results import SearchResults, budget_extras
 from repro.workloads import service_client
@@ -46,6 +47,27 @@ def test_identity_matrix_passes_on_every_path():
     jitter refit and the watchdog teleport, equals its oracle; sharded
     true kNN under a budget raises on every path."""
     assert verify.run_matrix(SCENE) == {}
+
+
+def test_tie_matrix_covers_every_path_and_variant():
+    """On a lattice with duplicated points every path must return the
+    oracle's knn, true_knn and budgeted rows index for index (the
+    default :func:`verify.run_matrix` runs these cells too)."""
+    assert {c.kind for c in verify.TIE_MATRIX} == set(verify.TIE_KINDS)
+    assert {(c.path, c.variant) for c in verify.TIE_MATRIX} == {
+        (p, v) for p in verify.PATH_RUNNERS for v in verify.CONFIGS
+    }
+    assert not {c.name for c in verify.TIE_MATRIX} & {c.name for c in verify.MATRIX}
+
+
+def test_tie_scene_ties_at_the_kth_neighbor():
+    """The scene is only a tie check if the k-th slot ties: most rows
+    of the k + 1 oracle repeat its k-th distance."""
+    scene = verify.make_tie_scene()
+    pts = scene.steps[0]
+    for g in scene.groups:
+        rows = exact_search(pts, g, scene.k + 1, scene.radius).sq_distances
+        assert (rows[:, scene.k - 1] == rows[:, scene.k]).mean() > 0.5
 
 
 def test_true_knn_cells_check_rounds_relaunches_and_schedule():
