@@ -204,8 +204,14 @@ class PruneSpec:
       point can be accepted (or even reach the shader).
     * ``worst`` — optional per-query dynamic bound (the KNN queue's
       current worst-kept distance, ``+inf`` until a queue fills). The
-      queue only improves on ``d² < worst`` and ``worst`` is monotone
-      non-increasing, so any snapshot is a sound prune bound.
+      queue improves only on ``(d², index) < (worst, worst_idx)``, so a
+      candidate at exactly ``d² == worst`` can still enter; the leaf
+      keep test is therefore non-strict (``min_d2 <= bound``) and must
+      stay so. ``worst`` is monotone non-increasing, so any snapshot
+      is a sound prune bound.
+
+    In a forest launch ``static_t2`` and ``bulk_t2`` may be ``(R,)``
+    per-ray arrays (each ray's own launch bound) instead of scalars.
 
     ``bulk_t2`` enables the complementary move for range launches with
     an active sphere test and ``half_width >= r``: a leaf whose
@@ -221,8 +227,8 @@ class PruneSpec:
 
     leaf_lo: np.ndarray        # (M, 3) tight leaf point MBRs (leaf rows)
     leaf_hi: np.ndarray
-    static_t2: float           # launch-constant squared prune bound
-    bulk_t2: float | None = None     # bulk-accept bound (range w/ sphere test)
+    static_t2: float | np.ndarray    # squared prune bound (scalar or (R,))
+    bulk_t2: float | np.ndarray | None = None  # bulk-accept bound (range w/ sphere test)
     worst: np.ndarray | None = None  # (Q,) live KNN worst-distance array
     query_ids: np.ndarray | None = None  # (R,) ray -> accumulator row
 
@@ -653,6 +659,8 @@ def _trace(
                 thresh = np.minimum(
                     thresh, prune.worst[prune.query_ids[leaf_rays]]
                 )
+            # Non-strict: a KNN candidate tied with ``worst`` may still
+            # enter the queue on its smaller index.
             keep = min_d2 <= thresh
             if not keep.all():
                 leaves_pruned += tally(leaf_rays, ~keep)

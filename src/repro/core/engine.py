@@ -401,7 +401,7 @@ class RTNNEngine:
             for b in bundles
         ]
         sphere_test = (
-            tests[0] if len(set(tests)) == 1
+            tests[0] if len(bundles) == 1
             else np.repeat(tests, [len(q) for q in ids])
         )
         shader = RangeShader(

@@ -31,13 +31,7 @@ import numpy as np
 from repro.bvh.traverse import PruneSpec, TraceResult, trace_batch, trace_forest
 from repro.geometry.ray import RayBatch
 from repro.gpu.cache import SampledCacheTracer
-from repro.gpu.costmodel import (
-    DEFAULT_L1_HIT,
-    DEFAULT_L2_HIT,
-    CostModel,
-    IsKind,
-    LaunchCost,
-)
+from repro.gpu.costmodel import CostModel, IsKind, LaunchCost
 from repro.gpu.device import DeviceSpec, RTX_2080
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optix.gas import GeometryAS
@@ -48,24 +42,23 @@ class LaunchResult:
     """Everything one launch produced besides the shader's own state.
 
     A pass of several launches traced together returns one result whose
-    ``trace`` merges the launches' traces, whose ``cost`` adds up their
-    cost terms, and whose hit rates are weighted by each launch's memory
-    transactions; ``parts`` holds the per-launch results, in launch
-    order (empty for a single launch).
+    ``trace`` merges the launches' traces and whose hit rates are
+    weighted by each launch's memory transactions; ``parts`` holds the
+    per-launch results, in launch order (empty for a single launch).
+    Each launch is costed on its own, so a merged result has no
+    ``cost`` of its own: read it per part, or ``modeled_time``.
     """
 
     trace: TraceResult
-    cost: LaunchCost
+    cost: LaunchCost | None
     l1_hit_rate: float | None
     l2_hit_rate: float | None
     parts: tuple["LaunchResult", ...] = ()
 
     @property
     def modeled_time(self) -> float:
-        """The launch's modeled seconds (its parts' sum, in order)."""
-        if not self.parts:
-            return self.cost.total
-        return sum(part.modeled_time for part in self.parts)
+        """The modeled seconds of every launch, summed in launch order."""
+        return sum(part.cost.total for part in self.launches)
 
     @property
     def launches(self) -> tuple["LaunchResult", ...]:
@@ -85,16 +78,9 @@ def _merged(parts: list[LaunchResult]) -> LaunchResult:
             weight += tx
             l1 += p.l1_hit_rate * tx
             l2 += p.l2_hit_rate * tx
-    cost = LaunchCost(
-        rt_time=sum(p.cost.rt_time for p in parts),
-        is_time=sum(p.cost.is_time for p in parts),
-        mem_time=sum(p.cost.mem_time for p in parts),
-        l1_hit_rate=(l1 / weight) if weight else DEFAULT_L1_HIT,
-        l2_hit_rate=(l2 / weight) if weight else DEFAULT_L2_HIT,
-    )
     return LaunchResult(
         trace=trace,
-        cost=cost,
+        cost=None,
         l1_hit_rate=(l1 / weight) if weight else None,
         l2_hit_rate=(l2 / weight) if weight else None,
         parts=tuple(parts),

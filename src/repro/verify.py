@@ -441,14 +441,12 @@ def _watchdog(runner, step: int) -> list[str]:
 def run_matrix(
     scene: Scene | None = None,
     cells=MATRIX + TIE_MATRIX,
-    tie_scene: Scene | None = None,
 ) -> dict[str, list[str]]:
     """Run ``cells``; returns failure messages by cell name.
 
-    Tie cells run over ``tie_scene`` (default :func:`make_tie_scene`),
-    the others over ``scene`` (default :func:`make_scene`). Cells
-    sharing a scene, path and variant share one runner: it searches the
-    cloud, then (for refit cells) moves it twice through its own
+    Tie cells run over :func:`make_tie_scene`, the others over
+    ``scene`` (default :func:`make_scene`). Cells sharing a scene, path
+    and variant share one runner: it searches the cloud, then (for refit cells) moves it twice through its own
     ``update_points`` and searches after each move.
     """
     runs: dict[bool, _Run] = {}
@@ -458,8 +456,7 @@ def run_matrix(
     for ties, path, variant in instances:
         if ties not in runs:
             runs[ties] = _Run(
-                (tie_scene or make_tie_scene()) if ties
-                else (scene or make_scene())
+                make_tie_scene() if ties else (scene or make_scene())
             )
         mine = [c for c in cells
                 if (c.ties, c.path, c.variant) == (ties, path, variant)]
