@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-concurrency analyze baseline bench bench-smoke bench-check bench-test verify profile trace-demo ci
+.PHONY: test lint lint-concurrency analyze baseline bench bench-check bench-test verify profile trace-demo ci
 
 # Extra pytest arguments ride in PYTEST_FLAGS (CI passes --junitxml=...).
 test:
@@ -26,23 +26,17 @@ lint-concurrency:
 baseline:
 	$(PYTHON) -m repro.analysis src/repro --write-baseline
 
-# Full perf-regression suite: compares against the latest committed
-# BENCH_*.json and writes a fresh BENCH_<date>.json.
+# Regenerate the baseline: the bench-check run, then write the payload
+# to BENCH_<date>.json (compared against the newest other BENCH_*.json).
 bench:
-	$(PYTHON) -m repro.obs.bench
+	$(PYTHON) -m repro.obs.bench --out BENCH_$(shell date +%F).json
 
-# Quick local subset: counter-exact comparison only (including the
-# sharded twin vs its single-engine scenario), writes nothing.
-bench-smoke:
-	$(PYTHON) -m repro.obs.bench --smoke
-
-# CI gate: the same counter-exact comparison over every pinned
-# scenario (wall-clock checks off, writes nothing). About 10 s; it
-# covers the range and downstream-workload scenarios the smoke subset
-# leaves out, where mid-leaf Any-Hit terminations and bulk accepts
-# are densest.
+# CI gate: every pinned scenario counter-, checksum- and modeled-time-
+# exact against the newest committed BENCH_*.json, plus the sharded,
+# step-budget, true-knn and workload result gates; writes nothing.
+# About 4 s on 2 vCPUs. Simulator wall time is bench/'s to measure.
 bench-check:
-	$(PYTHON) -m repro.obs.bench --no-wall --no-write
+	$(PYTHON) -m repro.obs.bench
 
 # The repository benchmark's own tests (bench/test_bench.py): every
 # workload end to end at test-only reduced sizes, the oracle gate and

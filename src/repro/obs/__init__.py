@@ -12,9 +12,10 @@ The subsystem has three layers:
   rollups (data / partition / build / schedule / traverse), total
   counters, and the span tree.
 * :mod:`repro.obs.bench` — the pinned perf-regression suite
-  (``python -m repro.obs.bench``) that emits ``BENCH_<date>.json`` and
-  compares against the last committed bench file (counters exact,
-  wall-clock within tolerance), exiting nonzero on regression.
+  (``python -m repro.obs.bench``) that compares against the last
+  committed ``BENCH_*.json`` (counters and checksums exact, modeled
+  seconds within 1e-9 relative), exiting nonzero on regression;
+  ``--out`` writes a new bench file.
 
 ``repro trace`` (the CLI verb) renders a recorded run via
 :mod:`repro.obs.render`.

@@ -1,24 +1,23 @@
 """The pinned perf-regression bench suite (``python -m repro.obs.bench``).
 
-Runs a fixed set of small scenarios — KITTI-like, uniform and clustered
-clouds, each as the un-optimized baseline, scheduled, and
-scheduled+partitioned engine — records per-phase counters and timings
-into ``BENCH_<date>.json``, and compares against the most recent
-committed bench file:
+Runs one fixed suite of small scenarios — KITTI-like, uniform and
+clustered clouds, each as the un-optimized baseline, scheduled, and
+scheduled+partitioned engine, plus repeat-batch, sharded, step-budgeted,
+exact-kNN and downstream-workload scenarios — applies the result gates
+(sharded and budgeted twins, the exact-kNN and workload oracles), and
+diffs every record against the most recent committed ``BENCH_*.json``:
 
 * **counters are exact**: the simulator is deterministic, so any drift
   in IS calls, warp steps, cache hits, AABB tests, or result checksums
   is a real behavior change and fails the run;
 * **modeled time** must match to a tight relative tolerance (it is pure
-  float arithmetic over the counters);
-* **wall-clock** (simulator speed) may regress up to ``--wall-tol``
-  (default 20%) before failing. Wall checks compare different machines
-  meaninglessly, so ``--smoke`` — the CI entry point — skips them (and
-  skips writing a new bench file) unless overridden.
+  float arithmetic over the counters).
 
-The smoke suite is a strict subset of the full suite (same names, same
-sizes), so a smoke run diffs cleanly against a committed full bench
-file.
+The harness pins what the simulator computes, not how fast this Python
+runs: simulator speed is measured by the repository benchmark under
+``bench/``, whose ``compare.py`` gives paired, seeded verdicts. With no
+flags the run compares and writes nothing; ``--out PATH`` writes the
+payload, which is how a new baseline is made.
 
 Exit codes: 0 clean, 1 regression/mismatch, 2 usage error.
 """
@@ -33,7 +32,6 @@ import platform
 import pstats
 import re
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,8 +47,6 @@ SCHEMA_VERSION = 1
 
 #: relative tolerance for modeled seconds (pure float-over-counters)
 MODELED_RTOL = 1e-9
-#: default wall-clock regression tolerance (+20%)
-WALL_TOL = 0.20
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +111,7 @@ class Scenario:
     engine: batch 1 is cold, later batches hit the engine's GAS cache.
     Counters accumulate over every batch (warm batches are bit-identical
     re-runs, so totals stay deterministic); the record additionally
-    carries cold/warm wall times and their ratio.
+    carries the GAS cache's hit/miss/eviction tallies.
     """
 
     family: str          # key into _FAMILIES
@@ -155,11 +151,15 @@ def repeat_scenarios() -> list[Scenario]:
     ]
 
 
-def smoke_suite() -> list[Scenario]:
-    """The CI smoke subset: every base family baseline vs fully
-    optimized, the repeat-batch amortization scenarios, and one
-    sharded-topology twin (result-identical to its single-engine
-    scenario, checked by :func:`check_shard_consistency`)."""
+def full_suite() -> list[Scenario]:
+    """The one pinned suite.
+
+    Every base family baseline vs fully optimized, the repeat-batch
+    amortization scenarios, a sharded-topology twin (result-identical to
+    its single-engine scenario, checked by
+    :func:`check_shard_consistency`), the exact-kNN, step-budget and
+    workload scenarios, and larger three-variant sweeps per family.
+    """
     return [
         Scenario(family=f, n_points=400, n_queries=160, variant=v)
         for f in ("kitti", "uniform", "clustered")
@@ -195,12 +195,7 @@ def smoke_suite() -> list[Scenario]:
                  variant="sched+part"),
         Scenario(family="sph-clustered", n_points=240, n_queries=240,
                  variant="sched+part"),
-    ]
-
-
-def full_suite() -> list[Scenario]:
-    """Smoke scenarios plus larger three-variant sweeps per family."""
-    return smoke_suite() + [
+    ] + [
         Scenario(family=f, n_points=2000, n_queries=700, variant=v)
         for f in ("kitti", "uniform", "clustered")
         for v in ("noopt", "sched", "sched+part")
@@ -265,11 +260,9 @@ def _run_workload_scenario(
     tracer = RecordingTracer()
     session = SearchSession(points, config=scenario.config(), tracer=tracer)
     client = SessionClient(session)
-    t0 = time.perf_counter()
     if mode == "dbscan":
         cfg = DBSCANConfig(eps=radius, min_pts=k, batch_size=64)
         out = run_dbscan(client, cfg, tracer=tracer)
-        wall = time.perf_counter() - t0
         o_labels, _o_core, o_counts, o_clusters = brute_dbscan(points, cfg)
         oracle_ok = (
             np.array_equal(out.labels, o_labels)
@@ -283,7 +276,6 @@ def _run_workload_scenario(
         cfg = HausdorffConfig(chunk_size=k)
         queries_a = gen(scenario.n_queries, scenario.seed + 1)
         out = run_hausdorff(client, queries_a, cfg, tracer=tracer)
-        wall = time.perf_counter() - t0
         o_hd2, o_ia, o_ib = brute_hausdorff(queries_a, points)
         oracle_ok = out.sq_distance == o_hd2 and (
             (out.index_a, out.index_b) == (o_ia, o_ib)
@@ -294,7 +286,6 @@ def _run_workload_scenario(
     else:  # sph
         cfg = SPHConfig(radius=radius, n_steps=k)
         out = run_sph(client, cfg, tracer=tracer)
-        wall = time.perf_counter() - t0
         o_x, o_v = brute_sph(points, cfg)
         oracle_ok = np.array_equal(out.positions, o_x) and np.array_equal(
             out.velocities, o_v
@@ -321,7 +312,6 @@ def _run_workload_scenario(
         # No single SearchResults carries a whole-pipeline breakdown;
         # the modeled time is the sum over the traced engine phases.
         "modeled_s": sum(s.modeled_s for s in report.phases.values()),
-        "wall_s": wall,
         "neighbors": neighbors,
         "checksum": checksum,
         "workload": workload,
@@ -351,16 +341,13 @@ def run_scenario(scenario: Scenario) -> dict:
         )
     else:
         engine = RTNNEngine(points, config=scenario.config(), tracer=tracer)
-    walls = []
     for _ in range(scenario.repeat):
-        t0 = time.perf_counter()
         if mode == "knn":
             res = engine.knn_search(queries, k=k, radius=radius)
         elif mode == "true_knn":
             res = engine.true_knn_search(queries, k=k, radius=radius)
         else:
             res = engine.range_search(queries, radius=radius, k=k)
-        walls.append(time.perf_counter() - t0)
 
     cache = (
         engine.cache_stats()
@@ -385,15 +372,10 @@ def run_scenario(scenario: Scenario) -> dict:
         },
         "breakdown": report.breakdown,
         "modeled_s": report.modeled_s,
-        "wall_s": sum(walls),
         "neighbors": int(res.counts.sum()),
         "checksum": int(res.indices[valid].sum()),
     }
     if scenario.repeat > 1:
-        warm = sum(walls[1:]) / (scenario.repeat - 1)
-        record["wall_first_s"] = walls[0]
-        record["wall_warm_s"] = warm
-        record["warm_speedup"] = (walls[0] / warm) if warm > 0 else float("inf")
         record["gas_cache"] = cache
     if scenario.budget:
         bud = res.report.extras.get("budget", {})
@@ -455,17 +437,10 @@ def run_suite(scenarios: list[Scenario], verbose: bool = True) -> dict:
         records[sc.name] = rec
         if verbose:
             c = rec["counters"]
-            warm = (
-                f"  warm x{rec['warm_speedup']:.2f}"
-                if "warm_speedup" in rec
-                else ""
-            )
             print(
                 f"  {sc.name:<38} modeled {rec['modeled_s'] * 1e6:9.2f} us  "
-                f"wall {rec['wall_s']:6.2f} s  "
                 f"is={c.get('is_calls', 0):>8,} "
                 f"steps={c.get('traversal_steps', 0):>9,}"
-                f"{warm}"
             )
     return {
         "schema": SCHEMA_VERSION,
@@ -605,16 +580,14 @@ def check_workload_oracle(payload: dict) -> list[str]:
 def compare_records(
     current: dict,
     baseline: dict,
-    wall_tol: float = WALL_TOL,
-    check_wall: bool = True,
     modeled_rtol: float = MODELED_RTOL,
 ) -> list[str]:
     """Diff two bench payloads; returns failure descriptions.
 
-    Only scenarios present in *both* files are compared (a smoke run
-    against a full baseline compares the smoke subset). Counter and
-    checksum drift fails in either direction; wall-clock fails only
-    when the current run is slower than ``baseline * (1 + wall_tol)``.
+    Only scenarios present in *both* files are compared. Counter and
+    checksum drift fails in either direction, modeled seconds beyond
+    ``modeled_rtol`` relative. Keys no check reads (such as the
+    simulator timings older bench files carry) are ignored.
     """
     failures: list[str] = []
     cur = current.get("scenarios", {})
@@ -651,13 +624,6 @@ def compare_records(
                 f"{name}: modeled_s drifted {bm!r} -> {cm!r} "
                 f"(tolerance {modeled_rtol:g} relative)"
             )
-        if check_wall:
-            bw, cw = b.get("wall_s", 0.0), c.get("wall_s", 0.0)
-            if bw > 0 and cw > bw * (1.0 + wall_tol):
-                failures.append(
-                    f"{name}: wall-clock regressed {bw:.3f}s -> {cw:.3f}s "
-                    f"(> +{wall_tol:.0%} tolerance)"
-                )
     return failures
 
 
@@ -692,18 +658,16 @@ def profile_scenario(name: str, top: int = 15) -> int:
     print(f"bench: profiling {scenario.name}")
     profiler = cProfile.Profile()
     profiler.enable()
-    run_scenario(scenario)
+    rec = run_scenario(scenario)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(top)
 
-    # Hot-path summary: MBR pruning effectiveness and the scenario's
-    # wall-clock, from one run outside the profiler (cProfile overhead
-    # would inflate it).
-    rec = run_scenario(scenario)
+    # Hot-path summary: MBR pruning effectiveness, from the profiled
+    # run's own (deterministic) counters.
     c = rec["counters"]
     print(
-        f"bench: hot-path summary: wall {rec['wall_s']:6.2f} s, "
+        "bench: hot-path summary: "
         f"leaf pairs pruned {c.get('leaves_pruned', 0):,}, "
         f"bulk-accepted {c.get('leaves_bulk_accepted', 0):,}, "
         f"prim transactions {c.get('prim_transactions', 0):,}"
@@ -717,37 +681,18 @@ def main(argv=None) -> int:
         description="run the pinned perf-regression bench suite",
     )
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the small CI subset; implies --no-wall and --no-write",
-    )
-    parser.add_argument(
         "--dir",
         default=".",
         help="directory holding BENCH_*.json files (default: cwd)",
     )
-    parser.add_argument("--out", help="output path (default: <dir>/BENCH_<date>.json)")
+    parser.add_argument(
+        "--out",
+        help="write the run's payload to this path (default: write nothing)",
+    )
     parser.add_argument(
         "--baseline",
         help="baseline file to diff against (default: newest BENCH_*.json in --dir)",
     )
-    parser.add_argument(
-        "--wall-tol",
-        type=float,
-        default=WALL_TOL,
-        help="wall-clock regression tolerance (default 0.20 = +20%%)",
-    )
-    wall = parser.add_mutually_exclusive_group()
-    wall.add_argument(
-        "--check-wall", dest="check_wall", action="store_true", default=None
-    )
-    wall.add_argument("--no-wall", dest="check_wall", action="store_false")
-    write = parser.add_mutually_exclusive_group()
-    write.add_argument(
-        "--write", dest="write", action="store_true", default=None,
-        help="write the BENCH_<date>.json artifact",
-    )
-    write.add_argument("--no-write", dest="write", action="store_false")
     parser.add_argument(
         "--profile",
         nargs="?",
@@ -761,16 +706,11 @@ def main(argv=None) -> int:
     if args.profile:
         return profile_scenario(args.profile)
 
-    check_wall = args.check_wall if args.check_wall is not None else not args.smoke
-    do_write = args.write if args.write is not None else not args.smoke
-
     directory = Path(args.dir)
-    today = datetime.date.today().isoformat()
-    out_path = Path(args.out) if args.out else directory / f"BENCH_{today}.json"
+    out_path = Path(args.out) if args.out else None
 
-    suite = smoke_suite() if args.smoke else full_suite()
-    label = "smoke" if args.smoke else "full"
-    print(f"bench: running the {label} suite ({len(suite)} scenarios)")
+    suite = full_suite()
+    print(f"bench: running the suite ({len(suite)} scenarios)")
     payload = run_suite(suite)
 
     status = 0
@@ -807,23 +747,22 @@ def main(argv=None) -> int:
             print(f"bench: baseline {baseline_path} not found", file=sys.stderr)
             return 2
     else:
-        baseline_path = find_baseline(directory, exclude=out_path if do_write else None)
+        # A payload about to overwrite a bench file of the same name
+        # diffs against the one before it.
+        baseline_path = find_baseline(directory, exclude=out_path)
 
     if baseline_path is None:
         print("bench: no baseline BENCH_*.json found; nothing to compare")
     else:
         with open(baseline_path) as fh:
             baseline = json.load(fh)
-        failures = compare_records(
-            payload, baseline, wall_tol=args.wall_tol, check_wall=check_wall
-        )
+        failures = compare_records(payload, baseline)
         compared = sorted(
             set(payload["scenarios"]) & set(baseline.get("scenarios", {}))
         )
         print(
             f"bench: compared {len(compared)} scenario(s) against "
             f"{baseline_path.name}"
-            + ("" if check_wall else " (wall-clock checks skipped)")
         )
         if failures:
             print(f"bench: {len(failures)} regression(s):", file=sys.stderr)
@@ -833,7 +772,7 @@ def main(argv=None) -> int:
         else:
             print("bench: no regressions")
 
-    if do_write:
+    if out_path is not None:
         with open(out_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

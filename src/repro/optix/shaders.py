@@ -10,8 +10,9 @@ those rays (Any-Hit termination). A shader may also expose
 :mod:`repro.bvh.traverse` for both forms.
 
 The concrete neighbor-search shaders live in :mod:`repro.core.shaders`;
-this module defines the protocol plus a trivial counting shader used by
-characterization experiments (Figs. 7/8) and tests.
+this module defines the protocol plus a trivial counting shader that
+tests use to observe traversal (the Fig. 7/8 experiments run
+:class:`~repro.core.shaders.KnnShader`).
 """
 
 from __future__ import annotations
